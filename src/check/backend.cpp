@@ -2,15 +2,15 @@
 
 namespace check {
 
-BackendRun run_mw(const Scenario& scenario) {
+exec::BackendRun run_mw(const Scenario& scenario) {
   return exec::make_backend("mw")->run(scenario.config);
 }
 
-BackendRun run_hagerup(const Scenario& scenario) {
+exec::BackendRun run_hagerup(const Scenario& scenario) {
   return exec::make_backend("hagerup")->run(scenario.config);
 }
 
-BackendRun run_runtime(const Scenario& scenario, std::size_t n_cap) {
+exec::BackendRun run_runtime(const Scenario& scenario, std::size_t n_cap) {
   exec::BackendOptions options;
   options.runtime_task_cap = n_cap;
   options.runtime_max_threads = 8;

@@ -23,7 +23,7 @@ bool close(double a, double b, double rel = kRelTol) {
 
 std::string fmt(double v) { return support::fmt_shortest(v); }
 
-bool any_failure(const BackendRun& run) {
+bool any_failure(const exec::BackendRun& run) {
   if (run.tasks_reclaimed > 0) return true;
   for (const mw::WorkerStats& w : run.worker_stats) {
     if (w.failed) return true;
@@ -41,7 +41,7 @@ std::unique_ptr<workload::RandomSource> make_rng(const mw::Config& cfg) {
 
 /// Ranges of chunk `c`, pulled from the (chunk-ordered) range log.
 /// `cursor` advances across calls in chunk order.
-void ranges_of_chunk(const BackendRun& run, std::size_t c, std::size_t& cursor,
+void ranges_of_chunk(const exec::BackendRun& run, std::size_t c, std::size_t& cursor,
                      std::vector<mw::ServedRangeEntry>& out) {
   out.clear();
   while (cursor < run.range_log.size() && run.range_log[cursor].chunk == c) {
@@ -52,7 +52,7 @@ void ranges_of_chunk(const BackendRun& run, std::size_t c, std::size_t& cursor,
 
 }  // namespace
 
-std::optional<std::string> check_chunk_bounds(const BackendRun& run) {
+std::optional<std::string> check_chunk_bounds(const exec::BackendRun& run) {
   if (run.chunk_count != run.chunk_log.size()) {
     return "chunk_count " + std::to_string(run.chunk_count) + " != chunk log length " +
            std::to_string(run.chunk_log.size());
@@ -60,7 +60,7 @@ std::optional<std::string> check_chunk_bounds(const BackendRun& run) {
   std::size_t cursor = 0;
   std::vector<mw::ServedRangeEntry> ranges;
   for (std::size_t c = 0; c < run.chunk_log.size(); ++c) {
-    const mw::ChunkLogEntry& chunk = run.chunk_log[c];
+    const dls::ChunkRecord& chunk = run.chunk_log[c];
     if (chunk.size == 0) return "chunk " + std::to_string(c) + " has size 0";
     if (chunk.pe >= run.workers) {
       return "chunk " + std::to_string(c) + " served to out-of-range pe " +
@@ -93,7 +93,7 @@ std::optional<std::string> check_chunk_bounds(const BackendRun& run) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_coverage(const BackendRun& run) {
+std::optional<std::string> check_coverage(const exec::BackendRun& run) {
   if (any_failure(run)) return std::nullopt;  // exact cover needs failure-free runs
   std::size_t cursor = 0;
   std::vector<mw::ServedRangeEntry> chunk_ranges;
@@ -138,7 +138,7 @@ std::optional<std::string> check_coverage(const BackendRun& run) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_conservation(const BackendRun& run) {
+std::optional<std::string> check_conservation(const exec::BackendRun& run) {
   const std::size_t expected = run.tasks * run.timesteps;
   std::size_t completed = 0;
   std::size_t chunks = 0;
@@ -151,7 +151,7 @@ std::optional<std::string> check_conservation(const BackendRun& run) {
            std::to_string(expected);
   }
   std::size_t served = 0;
-  for (const mw::ChunkLogEntry& chunk : run.chunk_log) served += chunk.size;
+  for (const dls::ChunkRecord& chunk : run.chunk_log) served += chunk.size;
   if (served != expected + run.tasks_reclaimed) {
     return "served " + std::to_string(served) + " tasks, expected n * timesteps + reclaimed = " +
            std::to_string(expected + run.tasks_reclaimed);
@@ -163,7 +163,8 @@ std::optional<std::string> check_conservation(const BackendRun& run) {
   return std::nullopt;
 }
 
-std::optional<std::string> check_work_seconds(const Scenario& scenario, const BackendRun& run) {
+std::optional<std::string> check_work_seconds(const Scenario& scenario,
+                                              const exec::BackendRun& run) {
   if (!run.virtual_time || any_failure(run)) return std::nullopt;
   const mw::Config& cfg = scenario.config;
   const auto rng = make_rng(cfg);
@@ -202,7 +203,7 @@ std::optional<std::string> check_work_seconds(const Scenario& scenario, const Ba
 }
 
 std::optional<std::string> check_makespan_bounds(const Scenario& scenario,
-                                                const BackendRun& run) {
+                                                const exec::BackendRun& run) {
   if (!run.virtual_time) return std::nullopt;
   const mw::Config& cfg = scenario.config;
   if (!cfg.worker_speed_profiles.empty()) return std::nullopt;  // time-varying capacity
@@ -237,7 +238,7 @@ std::optional<std::string> check_makespan_bounds(const Scenario& scenario,
 }
 
 std::optional<std::string> check_metrics_identity(const Scenario& scenario,
-                                                  const BackendRun& run) {
+                                                  const exec::BackendRun& run) {
   if (!run.metrics.has_value()) return std::nullopt;
   const mw::Metrics& m = *run.metrics;
   const mw::Config& cfg = scenario.config;
@@ -281,7 +282,7 @@ std::optional<std::string> check_metrics_identity(const Scenario& scenario,
     // Per-worker served totals re-derive exactly from the chunk log.
     std::vector<std::size_t> tasks_by_pe(run.workers, 0);
     std::vector<std::size_t> chunks_by_pe(run.workers, 0);
-    for (const mw::ChunkLogEntry& chunk : run.chunk_log) {
+    for (const dls::ChunkRecord& chunk : run.chunk_log) {
       tasks_by_pe[chunk.pe] += chunk.size;
       chunks_by_pe[chunk.pe] += 1;
     }
@@ -302,8 +303,8 @@ std::optional<std::string> check_metrics_identity(const Scenario& scenario,
 }
 
 std::optional<std::string> check_cross_backend(const Scenario& scenario,
-                                               const BackendRun& mw_run,
-                                               const BackendRun& hagerup_run) {
+                                               const exec::BackendRun& mw_run,
+                                               const exec::BackendRun& hagerup_run) {
   // Strict agreement is only a theorem for the hagerup_identical class:
   // timing-sensitive techniques (AWF*, AF, BOLD) react to sub-ulp
   // execution-time differences between the two accumulations, and
@@ -319,8 +320,8 @@ std::optional<std::string> check_cross_backend(const Scenario& scenario,
     return "mw makespan " + fmt(mw_run.makespan) + " vs hagerup " + fmt(hagerup_run.makespan);
   }
   for (std::size_t c = 0; c < mw_run.chunk_log.size(); ++c) {
-    const mw::ChunkLogEntry& a = mw_run.chunk_log[c];
-    const mw::ChunkLogEntry& b = hagerup_run.chunk_log[c];
+    const dls::ChunkRecord& a = mw_run.chunk_log[c];
+    const dls::ChunkRecord& b = hagerup_run.chunk_log[c];
     if (a.first != b.first || a.size != b.size) {
       return "chunk " + std::to_string(c) + " differs: mw [" + std::to_string(a.first) + " +" +
              std::to_string(a.size) + "), hagerup [" + std::to_string(b.first) + " +" +
@@ -331,14 +332,13 @@ std::optional<std::string> check_cross_backend(const Scenario& scenario,
 }
 
 std::optional<std::string> check_mw_determinism(const Scenario& scenario,
-                                                const BackendRun& mw_run) {
-  mw::Config config = scenario.config;
-  config.record_chunk_log = true;
-  mw::RunContext context;
-  // Prime the context with a run, then re-run reusing its cached
-  // engine/buffers: both must reproduce `mw_run` bitwise.
-  (void)mw::run_simulation(config, context);
-  const BackendRun reused = from_mw(config, mw::run_simulation(config, context));
+                                                const exec::BackendRun& mw_run) {
+  // Prime a backend (it owns its RunContext) with a run, then re-run
+  // reusing its cached engine/buffers: both must reproduce `mw_run`
+  // bitwise.
+  const std::unique_ptr<exec::Backend> backend = exec::make_backend("mw");
+  (void)backend->run(scenario.config);
+  const exec::BackendRun reused = backend->run(scenario.config);
   if (reused.makespan != mw_run.makespan) {
     return "makespan differs across RunContext reuse: " + fmt(mw_run.makespan) + " vs " +
            fmt(reused.makespan);
@@ -349,10 +349,7 @@ std::optional<std::string> check_mw_determinism(const Scenario& scenario,
            std::to_string(reused.chunk_log.size());
   }
   for (std::size_t c = 0; c < mw_run.chunk_log.size(); ++c) {
-    const mw::ChunkLogEntry& a = mw_run.chunk_log[c];
-    const mw::ChunkLogEntry& b = reused.chunk_log[c];
-    if (a.pe != b.pe || a.first != b.first || a.size != b.size || a.issued_at != b.issued_at ||
-        a.work_seconds != b.work_seconds) {
+    if (mw_run.chunk_log[c] != reused.chunk_log[c]) {
       return "chunk " + std::to_string(c) + " differs across RunContext reuse";
     }
   }
@@ -435,7 +432,7 @@ std::optional<std::string> check_worker_monotonicity(const Scenario& scenario) {
   return std::nullopt;
 }
 
-std::vector<Failure> check_run(const Scenario& scenario, const BackendRun& run) {
+std::vector<Failure> check_run(const Scenario& scenario, const exec::BackendRun& run) {
   std::vector<Failure> failures;
   auto apply = [&](const char* name, std::optional<std::string> result) {
     if (result.has_value()) {

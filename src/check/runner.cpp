@@ -6,7 +6,7 @@
 #include <ostream>
 
 #include "check/backend.hpp"
-#include "support/parallel_for.hpp"
+#include "pool/executor.hpp"
 #include "workload/task_times.hpp"
 
 namespace check {
@@ -118,11 +118,11 @@ constexpr Transform kTransforms[] = {
 std::vector<Failure> check_scenario(const Scenario& scenario, bool expensive,
                                     bool check_runtime) {
   std::vector<Failure> failures;
-  const BackendRun mw_run = run_mw(scenario);
+  const exec::BackendRun mw_run = run_mw(scenario);
   for (Failure& f : check_run(scenario, mw_run)) failures.push_back(std::move(f));
 
   if (scenario.hagerup_comparable()) {
-    const BackendRun hagerup_run = run_hagerup(scenario);
+    const exec::BackendRun hagerup_run = run_hagerup(scenario);
     for (Failure& f : check_run(scenario, hagerup_run)) failures.push_back(std::move(f));
     if (auto violation = check_cross_backend(scenario, mw_run, hagerup_run)) {
       failures.push_back(Failure{"cross_backend", *violation});
@@ -130,7 +130,7 @@ std::vector<Failure> check_scenario(const Scenario& scenario, bool expensive,
   }
 
   if (check_runtime) {
-    const BackendRun runtime_run = run_runtime(scenario);
+    const exec::BackendRun runtime_run = run_runtime(scenario);
     for (Failure& f : check_run(scenario, runtime_run)) failures.push_back(std::move(f));
   }
 
@@ -181,7 +181,7 @@ CheckReport run_checks(const CheckOptions& options) {
   report.scenarios = options.runs;
   std::vector<std::vector<Violation>> per_scenario(options.runs);
 
-  support::parallel_for(
+  pool::Executor::shared().parallel_for(
       options.runs,
       [&](std::size_t index) {
         const Scenario scenario = generate_scenario(options.seed, index, options.scenario);

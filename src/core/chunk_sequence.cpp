@@ -8,11 +8,13 @@ std::vector<ChunkRecord> chunk_sequence(Technique& technique, double task_time) 
   const std::size_t p = technique.params().p;
   double now = 0.0;
   std::size_t pe = 0;
+  std::size_t first = 0;
   for (;;) {
     const std::size_t size = technique.next_chunk(Request{pe, now});
     if (size == 0) break;
-    out.push_back({pe, size});
     const double exec = task_time * static_cast<double>(size);
+    out.push_back({pe, first, size, now, exec});
+    first += size;
     now += exec;
     technique.on_chunk_complete(ChunkFeedback{pe, size, exec, now});
     pe = (pe + 1) % p;

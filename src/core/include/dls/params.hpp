@@ -81,6 +81,8 @@ struct Params {
   std::size_t rnd_min = 1;
   std::size_t rnd_max = 0;
   std::uint64_t rnd_seed = 1;
+
+  bool operator==(const Params&) const = default;
 };
 
 /// Parameter-requirement bits reproducing paper Table II.

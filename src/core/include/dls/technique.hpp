@@ -29,6 +29,21 @@ struct ChunkFeedback {
   double now = 0.0;
 };
 
+/// One issued chunk, in issue order: the chunk log every execution
+/// vehicle (mw, hagerup, the native runtime) and chunk_sequence() write.
+/// `first` is the chunk's first task index.  The times are virtual
+/// seconds; the native runtime, which has no virtual clock, leaves
+/// both at 0.
+struct ChunkRecord {
+  std::size_t pe = 0;
+  std::size_t first = 0;
+  std::size_t size = 0;
+  double issued_at = 0.0;     ///< time the chunk was issued
+  double work_seconds = 0.0;  ///< aggregate execution time of its tasks
+
+  bool operator==(const ChunkRecord&) const = default;
+};
+
 /// A dynamic loop scheduling technique: a stateful chunk-size calculator.
 ///
 /// The driver (simulated master, Hagerup-style direct simulator, or an

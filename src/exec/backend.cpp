@@ -5,7 +5,9 @@
 #include <limits>
 #include <stdexcept>
 
+#include "hagerup/simulator.hpp"
 #include "mw/simulation.hpp"
+#include "runtime/dls_loop.hpp"
 
 namespace exec {
 namespace {
@@ -16,15 +18,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
   throw std::invalid_argument(std::string(backend) + " backend cannot run this config: " + what);
 }
 
-/// Field-wise equality of the Table I parameters (dls::Params has no
-/// operator==); the runtime executor cache must rebuild whenever any
-/// scheduling knob changes.
-bool params_equal(const dls::Params& a, const dls::Params& b) {
-  return a.p == b.p && a.n == b.n && a.h == b.h && a.mu == b.mu && a.sigma == b.sigma &&
-         a.css_chunk == b.css_chunk && a.gss_min_chunk == b.gss_min_chunk &&
-         a.tss_first == b.tss_first && a.tss_last == b.tss_last &&
-         a.tap_v_alpha == b.tap_v_alpha && a.weights == b.weights && a.rnd_min == b.rnd_min &&
-         a.rnd_max == b.rnd_max && a.rnd_seed == b.rnd_seed;
+/// Backends without fragmentation serve every chunk as one range.
+void one_range_per_chunk(BackendRun& run) {
+  run.range_log.reserve(run.chunk_log.size());
+  for (std::size_t c = 0; c < run.chunk_log.size(); ++c) {
+    const dls::ChunkRecord& chunk = run.chunk_log[c];
+    run.range_log.push_back(mw::ServedRangeEntry{c, chunk.first, chunk.size});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -42,7 +42,21 @@ class MwBackend final : public Backend {
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     mw::Config cfg = config;
     cfg.record_chunk_log = true;
-    return from_mw(cfg, mw::run_simulation(cfg, context_));
+    mw::RunResult result = mw::run_simulation(cfg, context_);
+    BackendRun run;
+    run.backend = "mw";
+    run.tasks = cfg.tasks;
+    run.timesteps = cfg.timesteps;
+    run.workers = cfg.workers;
+    run.makespan = result.makespan;
+    run.total_nominal_work = result.total_nominal_work;
+    run.chunk_count = result.chunk_count;
+    run.tasks_reclaimed = result.tasks_reclaimed;
+    run.metrics = mw::compute_metrics(result, cfg);
+    run.worker_stats = std::move(result.workers);
+    run.chunk_log = std::move(result.chunk_log);
+    run.range_log = std::move(result.range_log);
+    return run;
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
@@ -101,7 +115,25 @@ class HagerupBackend final : public Backend {
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     hagerup::Config cfg = convert(config);
     cfg.record_chunk_log = true;
-    return from_hagerup(cfg, hagerup::run(cfg, context_));
+    hagerup::RunResult result = hagerup::run(cfg, context_);
+    BackendRun run;
+    run.backend = "hagerup";
+    run.tasks = cfg.tasks;
+    run.workers = cfg.pes;
+    run.makespan = result.makespan;
+    run.total_nominal_work = result.total_work;
+    run.chunk_count = result.chunk_count;
+    run.worker_stats.resize(cfg.pes);
+    for (std::size_t w = 0; w < cfg.pes; ++w) {
+      run.worker_stats[w].compute_time = result.compute_time[w];
+      run.worker_stats[w].chunks = result.chunks[w];
+    }
+    run.chunk_log = std::move(result.chunk_log);
+    for (const dls::ChunkRecord& chunk : run.chunk_log) {
+      run.worker_stats[chunk.pe].tasks += chunk.size;
+    }
+    one_range_per_chunk(run);
+    return run;
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
@@ -194,7 +226,7 @@ class RuntimeBackend final : public Backend {
     executor_options.record_chunk_log = record_chunk_log;
     if (executor_ == nullptr || cached_technique_ != config.technique ||
         cached_threads_ != threads || cached_log_ != record_chunk_log ||
-        !params_equal(cached_params_, executor_options.params)) {
+        cached_params_ != executor_options.params) {
       executor_ = std::make_unique<runtime::DlsLoopExecutor>(executor_options);
       cached_technique_ = config.technique;
       cached_threads_ = threads;
@@ -225,12 +257,9 @@ class RuntimeBackend final : public Backend {
         out.worker_stats[t].tasks += stats.tasks_per_thread[t];
         out.worker_stats[t].chunks += stats.chunks_per_thread[t];
       }
-      for (const runtime::LoopChunk& chunk : stats.chunk_log) {
-        out.range_log.push_back(
-            mw::ServedRangeEntry{out.chunk_log.size(), chunk.first, chunk.size});
-        out.chunk_log.push_back(mw::ChunkLogEntry{chunk.thread, chunk.first, chunk.size, 0.0, 0.0});
-      }
+      out.chunk_log.insert(out.chunk_log.end(), stats.chunk_log.begin(), stats.chunk_log.end());
     }
+    one_range_per_chunk(out);
     return out;
   }
 
@@ -271,73 +300,6 @@ std::unique_ptr<Backend> make_backend(std::string_view name, const BackendOption
 
 bool backend_is_virtual(std::string_view name, const BackendOptions& options) {
   return make_backend(name, options)->virtual_time();
-}
-
-BackendRun from_mw(const mw::Config& config, mw::RunResult result) {
-  BackendRun run;
-  run.backend = "mw";
-  run.tasks = config.tasks;
-  run.timesteps = config.timesteps;
-  run.workers = config.workers;
-  run.makespan = result.makespan;
-  run.total_nominal_work = result.total_nominal_work;
-  run.chunk_count = result.chunk_count;
-  run.tasks_reclaimed = result.tasks_reclaimed;
-  run.metrics = mw::compute_metrics(result, config);
-  run.worker_stats = std::move(result.workers);
-  run.chunk_log = std::move(result.chunk_log);
-  run.range_log = std::move(result.range_log);
-  return run;
-}
-
-BackendRun from_hagerup(const hagerup::Config& config, const hagerup::RunResult& result) {
-  BackendRun run;
-  run.backend = "hagerup";
-  run.tasks = config.tasks;
-  run.timesteps = 1;
-  run.workers = config.pes;
-  run.makespan = result.makespan;
-  run.total_nominal_work = result.total_work;
-  run.chunk_count = result.chunk_count;
-  run.worker_stats.resize(config.pes);
-  for (std::size_t w = 0; w < config.pes; ++w) {
-    run.worker_stats[w].compute_time = result.compute_time[w];
-    run.worker_stats[w].chunks = result.chunks[w];
-  }
-  run.chunk_log.reserve(result.chunk_log.size());
-  run.range_log.reserve(result.chunk_log.size());
-  for (const hagerup::ChunkLogEntry& entry : result.chunk_log) {
-    run.range_log.push_back(
-        mw::ServedRangeEntry{run.chunk_log.size(), entry.first, entry.size});
-    run.chunk_log.push_back(mw::ChunkLogEntry{entry.pe, entry.first, entry.size,
-                                              entry.issued_at, entry.work_seconds});
-    run.worker_stats[entry.pe].tasks += entry.size;
-  }
-  return run;
-}
-
-BackendRun from_runtime(std::size_t n, unsigned threads, const runtime::LoopStats& stats) {
-  BackendRun run;
-  run.backend = "runtime";
-  run.tasks = n;
-  run.timesteps = 1;
-  run.workers = threads;
-  run.makespan = stats.wall_seconds;
-  run.chunk_count = stats.chunks;
-  run.virtual_time = false;
-  run.worker_stats.resize(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    run.worker_stats[t].compute_time = stats.busy_seconds_per_thread[t];
-    run.worker_stats[t].tasks = stats.tasks_per_thread[t];
-    run.worker_stats[t].chunks = stats.chunks_per_thread[t];
-  }
-  run.chunk_log.reserve(stats.chunk_log.size());
-  run.range_log.reserve(stats.chunk_log.size());
-  for (const runtime::LoopChunk& chunk : stats.chunk_log) {
-    run.range_log.push_back(mw::ServedRangeEntry{run.chunk_log.size(), chunk.first, chunk.size});
-    run.chunk_log.push_back(mw::ChunkLogEntry{chunk.thread, chunk.first, chunk.size, 0.0, 0.0});
-  }
-  return run;
 }
 
 }  // namespace exec

@@ -6,19 +6,18 @@
 #include <string_view>
 #include <vector>
 
-#include "hagerup/simulator.hpp"
+#include "dls/technique.hpp"
 #include "mw/config.hpp"
 #include "mw/metrics.hpp"
 #include "mw/result.hpp"
-#include "runtime/dls_loop.hpp"
 
 namespace exec {
 
 /// Uniform view of one run of any execution vehicle -- the shared
 /// currency of the check invariant catalog and the cross-backend
-/// experiment grids.  Chunk/range logs reuse the mw log types;
-/// backends without fragmentation (hagerup, runtime) emit one range
-/// per chunk.
+/// experiment grids.  The chunk log is every vehicle's own
+/// dls::ChunkRecord log; the range log reuses mw's type, and backends
+/// without fragmentation (hagerup, runtime) emit one range per chunk.
 struct BackendRun {
   std::string backend;  ///< "mw" | "hagerup" | "runtime"
   std::size_t tasks = 0;
@@ -29,7 +28,7 @@ struct BackendRun {
   std::size_t chunk_count = 0;
   std::size_t tasks_reclaimed = 0;
   std::vector<mw::WorkerStats> worker_stats;
-  std::vector<mw::ChunkLogEntry> chunk_log;
+  std::vector<dls::ChunkRecord> chunk_log;
   std::vector<mw::ServedRangeEntry> range_log;
   /// Paper metrics, for backends that define them (mw only).
   std::optional<mw::Metrics> metrics;
@@ -113,13 +112,5 @@ struct BackendOptions {
 /// cells) key off -- they must never diverge, or the sweep's in-order
 /// committer stalls buffering behind a job the batch deferred.
 [[nodiscard]] bool backend_is_virtual(std::string_view name, const BackendOptions& options = {});
-
-/// Adapters from the native result types (used by the backends, the
-/// check tests, and anyone holding a raw simulator result).
-[[nodiscard]] BackendRun from_mw(const mw::Config& config, mw::RunResult result);
-[[nodiscard]] BackendRun from_hagerup(const hagerup::Config& config,
-                                      const hagerup::RunResult& result);
-[[nodiscard]] BackendRun from_runtime(std::size_t n, unsigned threads,
-                                      const runtime::LoopStats& stats);
 
 }  // namespace exec

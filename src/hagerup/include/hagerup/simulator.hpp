@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dls/params.hpp"
+#include "dls/technique.hpp"
 #include "workload/task_times.hpp"
 
 namespace hagerup {
@@ -38,20 +39,9 @@ struct Config {
   std::uint64_t seed = 42;
   bool use_rand48 = true;
   bool charge_overhead_inline = true;
-  /// Record the full per-chunk log in the result (check::BackendRun
-  /// uses it to compare scheduling decisions across simulators).
+  /// Record the full per-chunk log in the result (exec::BackendRun
+  /// carries it to compare scheduling decisions across simulators).
   bool record_chunk_log = false;
-};
-
-/// One entry of the optional chunk log, in allocation order.  Tasks are
-/// always served sequentially from the front of [0, n), so `first` is
-/// the running task index at allocation time.
-struct ChunkLogEntry {
-  std::size_t pe = 0;
-  std::size_t first = 0;
-  std::size_t size = 0;
-  double issued_at = 0.0;      ///< virtual time the chunk was allocated
-  double work_seconds = 0.0;   ///< aggregate task time of the chunk [s]
 };
 
 struct RunResult {
@@ -64,7 +54,10 @@ struct RunResult {
   /// (makespan - compute time), which equals idle + overhead per
   /// worker when overhead is charged inline; plus h*chunks/p otherwise.
   double avg_wasted_time = 0.0;
-  std::vector<ChunkLogEntry> chunk_log;  ///< filled if Config::record_chunk_log
+  /// Filled if Config::record_chunk_log, in allocation order.  Tasks
+  /// are served sequentially from the front of [0, n), so `first` is
+  /// the running task index at allocation time.
+  std::vector<dls::ChunkRecord> chunk_log;
 };
 
 /// Reusable scratch buffers for run(): the task-time buffer (the

@@ -72,7 +72,7 @@ RunResult run(const Config& config, RunContext& context) {
     double exec = 0.0;
     for (std::size_t i = next_task; i < next_task + chunk; ++i) exec += task_times[i];
     if (config.record_chunk_log) {
-      result.chunk_log.push_back(ChunkLogEntry{ev.worker, next_task, chunk, ev.time, exec});
+      result.chunk_log.push_back(dls::ChunkRecord{ev.worker, next_task, chunk, ev.time, exec});
     }
     next_task += chunk;
     ++result.chunk_count;

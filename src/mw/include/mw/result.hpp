@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "dls/technique.hpp"
+
 namespace mw {
 
 /// Per-worker outcome of one simulated run.
@@ -13,17 +15,6 @@ struct WorkerStats {
   std::size_t tasks = 0;      ///< tasks COMPLETED by this worker
   std::size_t chunks = 0;
   bool failed = false;        ///< worker hit its fail-stop time
-};
-
-/// One entry of the optional chunk log.
-struct ChunkLogEntry {
-  std::size_t pe = 0;
-  std::size_t first = 0;
-  std::size_t size = 0;
-  double issued_at = 0.0;
-  /// Aggregate nominal execution time served with the chunk [s], as
-  /// computed by the master's prefix-sum index over the task times.
-  double work_seconds = 0.0;
 };
 
 /// One contiguous sub-range of a served chunk (optional range log).  A
@@ -44,7 +35,9 @@ struct RunResult {
   double master_busy_time = 0.0;    ///< simulated overhead time at the master
   std::size_t tasks_reclaimed = 0;  ///< tasks re-scheduled after worker failures
   std::vector<WorkerStats> workers;
-  std::vector<ChunkLogEntry> chunk_log;      ///< filled if Config::record_chunk_log
+  /// Filled if Config::record_chunk_log.  work_seconds is the chunk's
+  /// aggregate nominal task time, from the master's prefix-sum index.
+  std::vector<dls::ChunkRecord> chunk_log;
   std::vector<ServedRangeEntry> range_log;   ///< filled if Config::record_chunk_log
 };
 

@@ -173,7 +173,7 @@ struct RunContext::Impl {
   std::vector<char> worker_failed;
   std::vector<char> finalized;
   std::vector<RangeList> last_served;
-  std::vector<ChunkLogEntry> chunk_log;
+  std::vector<dls::ChunkRecord> chunk_log;
   std::vector<ServedRangeEntry> range_log;
   std::vector<WorkerState> worker_states;
 };
@@ -328,7 +328,7 @@ simx::Actor master_actor(simx::Context& ctx, Shared& sh) {
           for (const TaskRange& r : served) {
             buf.range_log.push_back(ServedRangeEntry{buf.chunk_log.size(), r.first, r.count});
           }
-          buf.chunk_log.push_back(ChunkLogEntry{worker, log_first, chunk, issue_at, seconds});
+          buf.chunk_log.push_back(dls::ChunkRecord{worker, log_first, chunk, issue_at, seconds});
         }
         // Fused overhead-compute + reply send: one event per served
         // chunk instead of two.

@@ -19,7 +19,7 @@ namespace {
 /// for all but the final chunk, whose end is bounded by the makespan.
 std::vector<std::vector<std::pair<double, double>>> busy_intervals(const RunResult& result) {
   std::vector<std::vector<std::pair<double, double>>> intervals(result.workers.size());
-  for (const ChunkLogEntry& e : result.chunk_log) {
+  for (const dls::ChunkRecord& e : result.chunk_log) {
     auto& worker = intervals[e.pe];
     if (!worker.empty() && worker.back().second < 0.0) {
       worker.back().second = e.issued_at;  // close the previous chunk
@@ -49,7 +49,7 @@ void write_chunk_csv(const RunResult& result, std::ostream& out) {
         "write_chunk_csv: chunk log empty (set Config::record_chunk_log)");
   }
   out << "pe,first,size,issued_at\n";
-  for (const ChunkLogEntry& e : result.chunk_log) {
+  for (const dls::ChunkRecord& e : result.chunk_log) {
     out << e.pe << ',' << e.first << ',' << e.size << ',' << support::fmt(e.issued_at, 9)
         << '\n';
   }

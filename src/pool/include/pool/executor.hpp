@@ -19,12 +19,12 @@ namespace pool {
 
 /// A persistent, reusable work-claiming thread pool.
 ///
-/// The committed baseline paid for its parallelism per call:
-/// support::parallel_for spawned and joined a transient set of threads
-/// every time it ran, so the thousands-of-replica grids of the paper's
-/// Section III-B sweeps spent a measurable share of their wall clock in
-/// thread creation instead of simulation.  An Executor makes
-/// concurrency an amortized resource instead:
+/// A transient pool pays for its parallelism per call: spawning and
+/// joining a set of threads for every parallel loop makes the
+/// thousands-of-replica grids of the paper's Section III-B sweeps
+/// spend a measurable share of their wall clock in thread creation
+/// instead of simulation.  An Executor makes concurrency an amortized
+/// resource instead:
 ///
 ///  - **Lazy start, idle parking.**  No thread exists until the first
 ///    parallel region that needs one; between regions the workers park

@@ -1,10 +1,10 @@
+#include "pool/executor.hpp"
 #include "repro/bold_experiment.hpp"
 
 #include <stdexcept>
 
 #include "exec/batch.hpp"
 #include "hagerup/simulator.hpp"
-#include "support/parallel_for.hpp"
 #include "workload/task_times.hpp"
 
 namespace repro {
@@ -19,7 +19,8 @@ constexpr std::uint64_t kSimSeedStride = 104729;
 stats::Summary collect(std::size_t runs, unsigned threads,
                        const std::function<double(std::size_t)>& per_run) {
   std::vector<double> values(runs);
-  support::parallel_for(runs, [&](std::size_t i) { values[i] = per_run(i); }, threads);
+  pool::Executor::shared().parallel_for(
+      runs, [&](std::size_t i) { values[i] = per_run(i); }, threads);
   return stats::summarize(values);
 }
 

@@ -74,7 +74,7 @@ LoopStats DlsLoopExecutor::run(std::size_t n,
         begin = next_index;
         next_index += size;
         if (options_.record_chunk_log) {
-          stats.chunk_log.push_back(LoopChunk{thread_id, begin, size});
+          stats.chunk_log.push_back(dls::ChunkRecord{thread_id, begin, size});
         }
       }
       const Clock::time_point chunk_start = Clock::now();

@@ -10,13 +10,6 @@
 
 namespace runtime {
 
-/// One dispatched chunk of a native loop, in dispatch order.
-struct LoopChunk {
-  std::size_t thread = 0;
-  std::size_t first = 0;
-  std::size_t size = 0;
-};
-
 /// Per-loop execution statistics of the native executor.
 struct LoopStats {
   std::size_t chunks = 0;
@@ -25,9 +18,9 @@ struct LoopStats {
   std::vector<std::size_t> chunks_per_thread;
   std::vector<double> busy_seconds_per_thread;
   /// Filled if Options::record_chunk_log: every dispatched chunk, in
-  /// dispatch order (the native analog of mw's chunk log; the shared
-  /// check::BackendRun adapter verifies coverage invariants on it).
-  std::vector<LoopChunk> chunk_log;
+  /// dispatch order, with `pe` the thread and both times 0 (check
+  /// verifies coverage invariants on it through exec::BackendRun).
+  std::vector<dls::ChunkRecord> chunk_log;
 };
 
 /// Native (non-simulated) self-scheduling loop executor: the deployment

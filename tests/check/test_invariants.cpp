@@ -14,7 +14,6 @@
 
 namespace {
 
-using check::BackendRun;
 using check::Scenario;
 
 Scenario simple_scenario(dls::Kind kind = dls::Kind::kFAC2) {
@@ -35,7 +34,7 @@ Scenario simple_scenario(dls::Kind kind = dls::Kind::kFAC2) {
 
 TEST(Invariants, CleanRunPassesAll) {
   const Scenario s = simple_scenario();
-  const BackendRun run = check::run_mw(s);
+  const exec::BackendRun run = check::run_mw(s);
   const std::vector<check::Failure> failures = check::check_run(s, run);
   for (const check::Failure& f : failures) {
     ADD_FAILURE() << f.invariant << ": " << f.message;
@@ -48,7 +47,7 @@ TEST(Invariants, CleanFailureRunPassesAll) {
                                    std::numeric_limits<double>::infinity(),
                                    std::numeric_limits<double>::infinity()};
   check::classify(s);
-  const BackendRun run = check::run_mw(s);
+  const exec::BackendRun run = check::run_mw(s);
   EXPECT_GT(run.tasks_reclaimed, 0u);  // the scenario must actually lose work
   for (const check::Failure& f : check::check_run(s, run)) {
     ADD_FAILURE() << f.invariant << ": " << f.message;
@@ -59,7 +58,7 @@ TEST(Invariants, FlippedChunkBoundIsCaught) {
   // The acceptance scenario: flip one chunk bound in the log and the
   // catalog must notice.
   const Scenario s = simple_scenario();
-  BackendRun run = check::run_mw(s);
+  exec::BackendRun run = check::run_mw(s);
   ASSERT_GT(run.chunk_log.size(), 4u);
   run.chunk_log[3].first += 1;
   run.range_log[3].first += 1;  // keep chunk and range logs consistent
@@ -74,7 +73,7 @@ TEST(Invariants, FlippedChunkBoundIsCaught) {
 
 TEST(Invariants, OverlappingChunkIsCaught) {
   const Scenario s = simple_scenario();
-  BackendRun run = check::run_mw(s);
+  exec::BackendRun run = check::run_mw(s);
   ASSERT_GT(run.chunk_log.size(), 4u);
   // Duplicate chunk 2's range into chunk 3: tasks now served twice.
   run.chunk_log[3] = run.chunk_log[2];
@@ -89,7 +88,7 @@ TEST(Invariants, OverlappingChunkIsCaught) {
 
 TEST(Invariants, TamperedChunkSizeIsCaught) {
   const Scenario s = simple_scenario();
-  BackendRun run = check::run_mw(s);
+  exec::BackendRun run = check::run_mw(s);
   ASSERT_GT(run.chunk_log.size(), 2u);
   run.chunk_log[1].size += 1;  // ranges no longer sum to the chunk size
   bool caught = false;
@@ -101,7 +100,7 @@ TEST(Invariants, TamperedChunkSizeIsCaught) {
 
 TEST(Invariants, TamperedWorkSecondsIsCaught) {
   const Scenario s = simple_scenario();
-  BackendRun run = check::run_mw(s);
+  exec::BackendRun run = check::run_mw(s);
   run.chunk_log[0].work_seconds *= 1.5;
   bool caught = false;
   for (const check::Failure& f : check::check_run(s, run)) {
@@ -112,7 +111,7 @@ TEST(Invariants, TamperedWorkSecondsIsCaught) {
 
 TEST(Invariants, ImpossibleMakespanIsCaught) {
   const Scenario s = simple_scenario();
-  BackendRun run = check::run_mw(s);
+  exec::BackendRun run = check::run_mw(s);
   run.makespan /= 100.0;  // faster than perfect sharing: impossible
   bool caught = false;
   for (const check::Failure& f : check::check_run(s, run)) {
@@ -123,7 +122,7 @@ TEST(Invariants, ImpossibleMakespanIsCaught) {
 
 TEST(Invariants, ForgedMetricsAreCaught) {
   const Scenario s = simple_scenario();
-  BackendRun run = check::run_mw(s);
+  exec::BackendRun run = check::run_mw(s);
   ASSERT_TRUE(run.metrics.has_value());
   run.metrics->speedup *= 1.01;
   bool caught = false;
@@ -135,7 +134,7 @@ TEST(Invariants, ForgedMetricsAreCaught) {
 
 TEST(Invariants, LostWorkerTasksAreCaught) {
   const Scenario s = simple_scenario();
-  BackendRun run = check::run_mw(s);
+  exec::BackendRun run = check::run_mw(s);
   run.worker_stats[0].tasks -= 1;  // conservation of tasks broken
   bool caught = false;
   for (const check::Failure& f : check::check_run(s, run)) {
@@ -155,11 +154,11 @@ TEST(Invariants, ViolationEmitsReplayableExperimentFile) {
   EXPECT_EQ(spec.config.workers, s.config.workers);
   EXPECT_EQ(spec.config.seed, s.config.seed);
   // The replayed config reproduces the identical run.
-  const BackendRun original = check::run_mw(s);
+  const exec::BackendRun original = check::run_mw(s);
   Scenario replayed;
   replayed.config = spec.config;
   check::classify(replayed);
-  const BackendRun replay = check::run_mw(replayed);
+  const exec::BackendRun replay = check::run_mw(replayed);
   EXPECT_EQ(original.makespan, replay.makespan);
   EXPECT_EQ(original.chunk_count, replay.chunk_count);
 }

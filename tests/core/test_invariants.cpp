@@ -105,6 +105,23 @@ TEST_P(TechniqueInvariants, ResetReproducesIdenticalSequence) {
   EXPECT_EQ(first, second);
 }
 
+TEST_P(TechniqueInvariants, RecordsFollowTheRunningTaskIndexAndClock) {
+  // `first` is the prefix sum of the sizes before it and ends at n;
+  // issue times and work come from chunk_sequence's synthetic clock.
+  const auto tech = dls::make_technique(GetParam().kind, make_params(GetParam()));
+  constexpr double kTaskTime = 0.5;
+  std::size_t first = 0;
+  double now = 0.0;
+  for (const dls::ChunkRecord& rec : dls::chunk_sequence(*tech, kTaskTime)) {
+    ASSERT_EQ(rec.first, first);
+    ASSERT_EQ(rec.issued_at, now);
+    ASSERT_EQ(rec.work_seconds, kTaskTime * static_cast<double>(rec.size));
+    first += rec.size;
+    now += rec.work_seconds;
+  }
+  EXPECT_EQ(first, GetParam().n);
+}
+
 TEST_P(TechniqueInvariants, SequenceLengthIsBounded) {
   const auto tech = dls::make_technique(GetParam().kind, make_params(GetParam()));
   const auto s = dls::chunk_sizes(*tech);

@@ -85,6 +85,19 @@ TEST(Params, TechniqueRejectsBadSpecificParams) {
   EXPECT_THROW((void)dls::make_technique(Kind::kWF, p), std::invalid_argument);
 }
 
+TEST(Params, EqualityCoversEveryField) {
+  // The runtime backend reuses a cached executor while its Params
+  // compare equal, so every field must take part in the comparison.
+  const dls::Params base;
+  EXPECT_EQ(base, dls::Params{});
+  dls::Params weighted = base;
+  weighted.weights = {1.0, 2.0};
+  EXPECT_NE(weighted, base);
+  dls::Params reseeded = base;
+  reseeded.rnd_seed = base.rnd_seed + 1;
+  EXPECT_NE(reseeded, base);
+}
+
 TEST(Params, RequestValidatesPeRange) {
   dls::Params p;
   p.p = 2;

@@ -163,7 +163,7 @@ TEST(RuntimeBackend, RunsEveryTimestepAndCoversEachOne) {
   for (const mw::WorkerStats& w : run.worker_stats) completed += w.tasks;
   EXPECT_EQ(completed, 600u * 3u);  // conservation across steps
   std::size_t served = 0;
-  for (const mw::ChunkLogEntry& chunk : run.chunk_log) served += chunk.size;
+  for (const dls::ChunkRecord& chunk : run.chunk_log) served += chunk.size;
   EXPECT_EQ(served, 600u * 3u);
 }
 

@@ -33,7 +33,7 @@ constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 
 std::uint64_t chunk_log_hash(const hagerup::RunResult& r) {
   std::uint64_t h = kFnvBasis;
-  for (const hagerup::ChunkLogEntry& e : r.chunk_log) {
+  for (const dls::ChunkRecord& e : r.chunk_log) {
     h = fnv1a(h, e.pe);
     h = fnv1a(h, e.first);
     h = fnv1a(h, e.size);

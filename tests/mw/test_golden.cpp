@@ -44,7 +44,7 @@ constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 /// prefix-sum reconstruction (test_resilience.cpp).
 std::uint64_t chunk_log_hash(const mw::RunResult& r) {
   std::uint64_t h = kFnvBasis;
-  for (const mw::ChunkLogEntry& e : r.chunk_log) {
+  for (const dls::ChunkRecord& e : r.chunk_log) {
     h = fnv1a(h, e.pe);
     h = fnv1a(h, e.first);
     h = fnv1a(h, e.size);

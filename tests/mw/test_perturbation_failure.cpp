@@ -119,7 +119,7 @@ TEST(PerturbationFailure, FailuresAcrossTimestepsStayConserved) {
   EXPECT_TRUE(r.workers[1].failed);
   EXPECT_EQ(completed_tasks(r), 360u);
   std::size_t served = 0;
-  for (const mw::ChunkLogEntry& chunk : r.chunk_log) served += chunk.size;
+  for (const dls::ChunkRecord& chunk : r.chunk_log) served += chunk.size;
   EXPECT_EQ(served, 360u + r.tasks_reclaimed);
 }
 

@@ -129,7 +129,7 @@ TEST(Simulation, ChunkLogRecordsWhenEnabled) {
   ASSERT_EQ(r.chunk_log.size(), r.chunk_count);
   std::size_t sum = 0;
   double last_time = 0.0;
-  for (const mw::ChunkLogEntry& e : r.chunk_log) {
+  for (const dls::ChunkRecord& e : r.chunk_log) {
     sum += e.size;
     EXPECT_GE(e.issued_at, last_time);
     last_time = e.issued_at;

@@ -255,10 +255,10 @@ TEST(DlsLoop, ChunkLogRecordsEveryDispatchExactlyOnce) {
   const LoopStats stats = executor.run_indexed(n, [](std::size_t) {});
   ASSERT_EQ(stats.chunk_log.size(), stats.chunks);
   std::vector<int> visits(n, 0);
-  for (const runtime::LoopChunk& chunk : stats.chunk_log) {
+  for (const dls::ChunkRecord& chunk : stats.chunk_log) {
     ASSERT_GE(chunk.size, 1u);
     ASSERT_LE(chunk.first + chunk.size, n);
-    ASSERT_LT(chunk.thread, 4u);
+    ASSERT_LT(chunk.pe, 4u);
     for (std::size_t i = chunk.first; i < chunk.first + chunk.size; ++i) ++visits[i];
   }
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(visits[i], 1) << "index " << i;

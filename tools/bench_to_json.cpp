@@ -20,8 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "support/bench_json.hpp"
-
 namespace {
 
 struct BenchEntry {
@@ -100,8 +98,8 @@ std::vector<BenchEntry> parse_benchmarks(std::istream& in) {
       current = BenchEntry{};
       current->name = *name;
       // UseRealTime() benches carry a "/real_time" name suffix; strip
-      // it so both BENCH pipelines (this one and `dls_sweep bench`)
-      // emit the same entry names for the same measurement.
+      // it so an entry keeps its name whether or not the bench measures
+      // real time.
       constexpr std::string_view kRealTimeSuffix = "/real_time";
       if (current->name.ends_with(kRealTimeSuffix)) {
         current->name.resize(current->name.size() - kRealTimeSuffix.size());
@@ -128,6 +126,19 @@ std::vector<BenchEntry> parse_benchmarks(std::istream& in) {
     }
   }
   return entries;
+}
+
+/// Render the dls-bench-v1 schema of the BENCH_*.json files from
+/// entries whose real_time is already in milliseconds.
+void write_bench_v1(std::ostream& out, const std::vector<BenchEntry>& entries) {
+  out << "{\n  \"schema\": \"dls-bench-v1\",\n  \"benchmarks\": [\n";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const BenchEntry& e = entries[i];
+    out << "    {\"name\": \"" << e.name << "\", \"real_time_ms\": " << e.real_time;
+    if (e.items_per_second) out << ", \"items_per_second\": " << *e.items_per_second;
+    out << "}" << (i + 1 < entries.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n}\n";
 }
 
 }  // namespace
@@ -161,12 +172,10 @@ int main(int argc, char** argv) {
     return EXIT_FAILURE;
   }
 
-  std::vector<support::BenchJsonEntry> normalized;
-  normalized.reserve(entries.size());
   try {
-    for (const BenchEntry& e : entries) {
-      normalized.push_back(
-          {e.name, to_milliseconds(e.real_time, e.time_unit), e.items_per_second});
+    for (BenchEntry& e : entries) {
+      e.real_time = to_milliseconds(e.real_time, e.time_unit);
+      e.time_unit = "ms";
     }
   } catch (const std::exception& e) {
     std::cerr << "bench_to_json: " << e.what() << "\n";
@@ -178,7 +187,7 @@ int main(int argc, char** argv) {
     std::cerr << "bench_to_json: cannot write " << output_path << "\n";
     return EXIT_FAILURE;
   }
-  support::write_bench_json(output, normalized);
+  write_bench_v1(output, entries);
   std::cout << "bench_to_json: wrote " << entries.size() << " entries to " << output_path
             << "\n";
   return EXIT_SUCCESS;

@@ -12,7 +12,6 @@
 //   dls_sweep merge --out all.jsonl s0.jsonl s1.jsonl s2.jsonl
 //   dls_sweep grid.sweep --list                          # show the cells, don't run
 //   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # fixed execution backend
-//   dls_sweep bench specs.sweep --name BM_E2ESweep --group tasks --json BENCH.json
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
 //   dls_sweep work grid.sweep --dir wd        # one worker (normally exec'd by coordinate)
 //
@@ -58,7 +57,6 @@
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "net/socket.hpp"
-#include "support/bench_json.hpp"
 #include "support/flags.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
@@ -73,7 +71,6 @@ constexpr int kExitUsageError = 2;
 void print_usage(std::ostream& out, const support::Flags& flags) {
   out << "usage: dls_sweep <spec-file | -> [options]        run a grid\n"
          "       dls_sweep merge --out <file> <shard>...    merge shard outputs\n"
-         "       dls_sweep bench <spec-file> --name <BM_X> --group <axis> --json <file>\n"
          "       dls_sweep coordinate <spec-file> --out <file> --workdir <dir> [options]\n"
          "       dls_sweep serve <spec-file> --listen host:port --out <file> --workdir <dir>\n"
          "       dls_sweep work <spec-file> --dir <dir>     one worker process (stdio)\n"
@@ -337,115 +334,6 @@ int merge_mode(const support::Flags& flags) {
   return EXIT_SUCCESS;
 }
 
-int bench_mode(const support::Flags& flags) {
-  const std::vector<std::string>& positional = flags.positional();
-  if (positional.size() != 2) {
-    std::cerr << "dls_sweep: bench needs exactly one spec file\n";
-    return kExitUsageError;
-  }
-  const std::string name = flags.get("name");
-  const std::string group_key = flags.get("group");
-  const std::string json_path = flags.get("json");
-  if (name.empty() || group_key.empty() || json_path.empty()) {
-    std::cerr << "dls_sweep: bench needs --name, --group and --json\n";
-    return kExitUsageError;
-  }
-
-  sweep::Grid grid;
-  const sweep::Axis* group_axis = nullptr;
-  try {
-    grid = sweep::parse_grid(read_input(positional[1]));
-    for (const sweep::Axis& axis : grid.axes) {
-      if (axis.key == group_key) group_axis = &axis;
-    }
-    if (group_axis == nullptr) {
-      throw std::invalid_argument("--group axis '" + group_key + "' is not swept in the spec");
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "dls_sweep: " << e.what() << "\n";
-    return kExitUsageError;
-  }
-
-  const std::int64_t repeats_raw = flags.get_int("repeats");
-  if (repeats_raw < 1 || repeats_raw > 1000) {
-    std::cerr << "dls_sweep: --repeats must be in [1, 1000], got " << repeats_raw << "\n";
-    return kExitUsageError;
-  }
-  const auto repeats = static_cast<std::size_t>(repeats_raw);
-
-  std::vector<support::BenchJsonEntry> entries;
-  try {
-    const auto jobs_of_group = [&](const std::string& group_value) {
-      std::vector<exec::BatchJob> jobs;
-      for (std::size_t i = 0; i < grid.cells(); ++i) {
-        const sweep::Cell c = sweep::cell(grid, i);
-        bool in_group = false;
-        for (const auto& [key, value] : c.assignment) {
-          in_group |= (key == group_key && value == group_value);
-        }
-        if (in_group) jobs.push_back(sweep::batch_job(grid, c));
-      }
-      return jobs;
-    };
-    const auto time_entry = [&](const std::string& entry_name,
-                                const std::vector<exec::BatchJob>& jobs, unsigned threads) {
-      std::size_t runs = 0;
-      for (const exec::BatchJob& job : jobs) runs += job.replicas;
-      exec::BatchRunner::Options options;
-      options.threads = threads;
-      const exec::BatchRunner runner(options);
-      double best_seconds = 0.0;
-      for (std::size_t r = 0; r < repeats; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        const auto results = runner.run(jobs);
-        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-        if (results.empty()) throw std::invalid_argument("empty benchmark group");
-        if (r == 0 || elapsed.count() < best_seconds) best_seconds = elapsed.count();
-      }
-      support::BenchJsonEntry entry;
-      entry.name = entry_name;
-      entry.real_time_ms = best_seconds * 1e3;
-      entry.items_per_second = static_cast<double>(runs) / best_seconds;
-      entries.push_back(entry);
-      std::cerr << "dls_sweep: " << entry.name << " " << entry.real_time_ms << " ms ("
-                << jobs.size() << " cells, " << runs << " runs)\n";
-    };
-    // Expand each group's jobs once; the serial and the three parallel
-    // timings reuse the same list.
-    std::vector<std::vector<exec::BatchJob>> group_jobs;
-    group_jobs.reserve(group_axis->values.size());
-    for (const std::string& group_value : group_axis->values) {
-      group_jobs.push_back(jobs_of_group(group_value));
-    }
-    // Serial entries (threads = 1, the serve-path number tracked in
-    // BENCH_e2e_sweep.json) first, then the parallel thread-count sweep
-    // (pool width 1/2/4, thread count outermost) -- the same order
-    // google-benchmark's ArgsProduct registration produces for the
-    // committed artifact.
-    for (std::size_t g = 0; g < group_jobs.size(); ++g) {
-      time_entry(name + "/" + group_axis->values[g], group_jobs[g], 1);
-    }
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      for (std::size_t g = 0; g < group_jobs.size(); ++g) {
-        time_entry(name + "Parallel/" + group_axis->values[g] + "/" + std::to_string(threads),
-                   group_jobs[g], threads);
-      }
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "dls_sweep: " << e.what() << "\n";
-    return kExitRunError;
-  }
-
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "dls_sweep: cannot write " << json_path << "\n";
-    return kExitRunError;
-  }
-  support::write_bench_json(out, entries);
-  std::cerr << "dls_sweep: wrote " << entries.size() << " entries to " << json_path << "\n";
-  return EXIT_SUCCESS;
-}
-
 // `dls_sweep coordinate` / `dls_sweep serve`: the fault-tolerant
 // multi-worker front ends (dist/coordinator.hpp).  One flag set --
 // coordinate forks local pipe workers, serve listens for remote
@@ -682,10 +570,6 @@ int main(int argc, char** argv) {
   flags.define("quiet", "false", "suppress per-cell progress on stderr");
   flags.define("progress", "false", "stderr progress line per cell (computed/skipped/owned)");
   flags.define("backend", "", "fixed execution backend (mw | hagerup | runtime); a 'sweep backend ...' axis overrides");
-  flags.define("name", "", "[bench] benchmark name prefix, e.g. BM_E2ESweep");
-  flags.define("group", "", "[bench] sweep axis to group timing entries by");
-  flags.define("json", "", "[bench] output path for the dls-bench-v1 JSON");
-  flags.define("repeats", "1", "[bench] timing repetitions; the minimum is kept");
 
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
@@ -704,7 +588,6 @@ int main(int argc, char** argv) {
     return kExitUsageError;
   }
   if (flags.positional()[0] == "merge") return merge_mode(flags);
-  if (flags.positional()[0] == "bench") return bench_mode(flags);
   if (flags.positional().size() != 1) {
     std::cerr << "dls_sweep: expected exactly one spec file\n";
     return kExitUsageError;
