@@ -31,14 +31,6 @@ bool any_failure(const exec::BackendRun& run) {
   return false;
 }
 
-/// The same RNG the simulators build (mw/simulation.cpp, hagerup).
-std::unique_ptr<workload::RandomSource> make_rng(const mw::Config& cfg) {
-  if (cfg.use_rand48) {
-    return std::make_unique<workload::Rand48Source>(static_cast<std::uint32_t>(cfg.seed));
-  }
-  return std::make_unique<workload::XoshiroSource>(cfg.seed);
-}
-
 /// Ranges of chunk `c`, pulled from the (chunk-ordered) range log.
 /// `cursor` advances across calls in chunk order.
 void ranges_of_chunk(const exec::BackendRun& run, std::size_t c, std::size_t& cursor,
@@ -167,7 +159,7 @@ std::optional<std::string> check_work_seconds(const Scenario& scenario,
                                               const exec::BackendRun& run) {
   if (!run.virtual_time || any_failure(run)) return std::nullopt;
   const mw::Config& cfg = scenario.config;
-  const auto rng = make_rng(cfg);
+  const auto rng = workload::make_source(cfg.seed, cfg.use_rand48);
   std::vector<double> times;
   std::vector<double> prefix(run.tasks + 1, 0.0);
   std::size_t cursor = 0;
@@ -223,7 +215,7 @@ std::optional<std::string> check_makespan_bounds(const Scenario& scenario,
   }
   // Critical path: the largest single task must execute somewhere, at
   // best on the fastest worker.
-  const auto rng = make_rng(cfg);
+  const auto rng = workload::make_source(cfg.seed, cfg.use_rand48);
   std::vector<double> times;
   double max_task = 0.0;
   for (std::size_t step = 0; step < run.timesteps; ++step) {

@@ -60,13 +60,21 @@ class MwBackend final : public Backend {
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
-    const mw::RunResult result = mw::run_simulation(config, context_);
+    return measured(mw::run_simulation(config, context_), config);
+  }
+
+  [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double> step0,
+                                         workload::RandomSource& rest) override {
+    return measured(mw::run_simulation(config, context_, step0, rest), config);
+  }
+
+ private:
+  [[nodiscard]] static Measured measured(const mw::RunResult& result, const mw::Config& config) {
     const mw::Metrics metrics = mw::compute_metrics(result, config);
     return Measured{metrics.makespan, metrics.avg_wasted_time, metrics.speedup,
                     static_cast<double>(metrics.chunks)};
   }
 
- private:
   mw::RunContext context_;
 };
 
@@ -137,8 +145,16 @@ class HagerupBackend final : public Backend {
   }
 
   [[nodiscard]] Measured measure(const mw::Config& config) override {
-    const hagerup::Config cfg = convert(config);
-    const hagerup::RunResult result = hagerup::run(cfg, context_);
+    return measured(hagerup::run(convert(config), context_));
+  }
+
+  [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double> step0,
+                                         workload::RandomSource&) override {
+    return measured(hagerup::run(convert(config), step0));
+  }
+
+ private:
+  [[nodiscard]] static Measured measured(const hagerup::RunResult& result) {
     Measured m;
     m.makespan = result.makespan;
     m.avg_wasted_time = result.avg_wasted_time;
@@ -149,7 +165,6 @@ class HagerupBackend final : public Backend {
     return m;
   }
 
- private:
   [[nodiscard]] hagerup::Config convert(const mw::Config& mc) const {
     validate(mc);
     hagerup::Config config;
@@ -202,6 +217,11 @@ class RuntimeBackend final : public Backend {
     if (run.makespan > 0.0) m.speedup = busy / run.makespan;
     m.chunks = static_cast<double>(run.chunk_count);
     return m;
+  }
+
+  [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double>,
+                                         workload::RandomSource&) override {
+    return measure(config);
   }
 
  private:
@@ -272,6 +292,15 @@ class RuntimeBackend final : public Backend {
 };
 
 }  // namespace
+
+std::unique_ptr<workload::RandomSource> draw_step0(const mw::Config& config,
+                                                  std::vector<double>& times) {
+  if (!config.workload) throw std::invalid_argument("Config.workload is not set");
+  std::unique_ptr<workload::RandomSource> source =
+      workload::make_source(config.seed, config.use_rand48);
+  config.workload->generate_into(times, config.tasks, *source);
+  return source;
+}
 
 const std::vector<std::string>& backend_names() {
   static const std::vector<std::string> kNames = {"hagerup", "mw", "runtime"};

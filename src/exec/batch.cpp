@@ -2,14 +2,40 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace exec {
+namespace {
+
+/// Whether job `b` may join the draw group `a` heads: its replicas
+/// draw exactly what `a`'s do.  The integer fields are compared first
+/// and the workload spec last, so the common mismatch (adjacent sweep
+/// cells differ in seed) costs no string.  Only single-timestep jobs
+/// group -- hagerup's only mode, and the only case in which two
+/// virtual-time vehicles can share a cell.
+bool draws_like(const BatchJob& a, const BatchJob& b) {
+  const mw::Config& x = a.config;
+  const mw::Config& y = b.config;
+  if (x.tasks != y.tasks || x.seed != y.seed || a.seed_stride != b.seed_stride ||
+      a.replicas != b.replicas || x.use_rand48 != y.use_rand48 || x.timesteps != 1 ||
+      y.timesteps != 1 || !x.workload || !y.workload) {
+    return false;
+  }
+  if (x.workload == y.workload) return true;
+  // Equal canonical specs sample identically.  A generator without a
+  // spec form (trace) reports its name instead, which does not pin
+  // its values, so it only matches itself.
+  const std::string spec = x.workload->spec();
+  return spec == y.workload->spec() && spec != x.workload->name();
+}
+
+}  // namespace
 
 Backend& BatchRunner::slot_backend(unsigned slot, const std::string& name) const {
-  auto& cache = slots_[slot];
+  auto& cache = slots_[slot].backends;
   const auto it = cache.find(name);
   if (it != cache.end()) return *it->second;
   return *cache.emplace(name, make_backend(name, options_.backend)).first->second;
@@ -24,13 +50,10 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
   // and the serial paths below use it before the pool is sized.
   if (slots_.empty()) slots_.resize(1);
 
-  // Flatten (job, replica) into one index space so threads stay busy
-  // across job boundaries (a grid's last job must not serialize).
   // Wall-clock backends (runtime) are excluded from the parallel pool:
   // their replicas spawn their own worker threads and measure real
   // time, so co-running replicas would measure contention instead of
   // run-to-run noise; they execute one at a time afterwards.
-  std::vector<std::size_t> offsets(jobs.size() + 1, 0);
   std::vector<bool> wall_clock(jobs.size(), false);
   std::map<std::string, bool, std::less<>> is_wall_clock;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -53,19 +76,49 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
       wall_clock[j] = !slot_backend(0, jobs[j].backend).virtual_time();
       is_wall_clock.emplace(jobs[j].backend, wall_clock[j]);
     }
-    offsets[j + 1] = offsets[j] + jobs[j].replicas;
+  }
+
+  // Draw groups: runs of adjacent virtual-time jobs whose replicas
+  // draw identical task times -- a science cell's vehicles, which the
+  // sweep emits side by side on equal seeds.  A group holds at most
+  // one job per backend, so a list of same-seed jobs on one vehicle
+  // (the TSS grid, one replica each) keeps its job-level parallelism.
+  // Flatten (group, replica) units into one index space so threads
+  // stay busy across job boundaries (a grid's last job must not
+  // serialize); a unit draws once and measures every member on it.
+  struct DrawGroup {
+    std::size_t first = 0;  ///< jobs [first, end)
+    std::size_t end = 0;
+  };
+  std::vector<DrawGroup> groups;
+  std::vector<std::size_t> offsets{0};
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (wall_clock[j]) continue;
+    if (!groups.empty() && groups.back().end == j) {
+      DrawGroup& group = groups.back();
+      bool joins = draws_like(jobs[group.first], jobs[j]);
+      for (std::size_t m = group.first; joins && m < j; ++m) {
+        joins = jobs[m].backend != jobs[j].backend;
+      }
+      if (joins) {
+        group.end = j + 1;
+        continue;
+      }
+    }
+    groups.push_back(DrawGroup{j, j + 1});
+    offsets.push_back(offsets.back() + jobs[j].replicas);
   }
   const std::size_t total = offsets.back();
 
-  // Size the pool -- and the per-slot backend caches -- only for what
-  // this batch can actually use: min(threads, claimable grains).  A
+  // Size the pool -- and the per-slot caches -- only for what this
+  // batch can actually use: min(threads, claimable grains).  A
   // run_one() on a big machine must not spawn (and park forever) a
   // full-width worker set for a region that will run inline; the lazy
   // pool stays lazy for small batches.  The caches must cover every
   // slot the pool can hand out (slot IDs are stable per thread, not
   // per region) and are sized BEFORE the region, with slots_.size()
   // passed as the region's slot cap; existing entries -- and their
-  // cached engines -- survive across run() calls.
+  // cached engines and draw buffers -- survive across run() calls.
   const std::size_t grain = std::max<std::size_t>(options_.grain, 1);
   const std::size_t grains = (total + grain - 1) / grain;
   const unsigned region_threads =
@@ -108,14 +161,14 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
     if (on_complete) on_complete(j, r);
   };
 
-  auto run_replica = [&](std::size_t job_index, std::size_t replica, unsigned slot) {
+  // Replica r of a job runs with seed `config.seed + seed_stride * r`.
+  auto replica_config = [&](std::size_t job_index, std::size_t replica) {
     const BatchJob& job = jobs[job_index];
     mw::Config cfg = job.config;
     cfg.seed = job.config.seed + job.seed_stride * replica;
-    // A throwing run already invalidated the backend's cached engine,
-    // so the cached instance stays safe to reuse either way.
-    const Measured measured = slot_backend(slot, job.backend).measure(cfg);
-
+    return cfg;
+  };
+  auto record = [&](std::size_t job_index, std::size_t replica, const Measured& measured) {
     PerReplica& out = values[job_index];
     out.makespan[replica] = measured.makespan;
     out.wasted[replica] = measured.avg_wasted_time;
@@ -129,10 +182,23 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
   executor.parallel_for_slots(
       total,
       [&](std::size_t flat, unsigned slot) {
-        const std::size_t job_index = static_cast<std::size_t>(
+        const std::size_t g = static_cast<std::size_t>(
             std::upper_bound(offsets.begin(), offsets.end(), flat) - offsets.begin() - 1);
-        if (wall_clock[job_index]) return;  // serialized below
-        run_replica(job_index, flat - offsets[job_index], slot);
+        const DrawGroup& group = groups[g];
+        const std::size_t replica = flat - offsets[g];
+        // Every member reads the one draw; a member that runs more
+        // timesteps (alone in its group by construction) keeps drawing
+        // from `rest`.  A throwing run already invalidated the
+        // backend's cached engine, so the cached instance stays safe
+        // to reuse either way.
+        std::vector<double>& draw = slots_[slot].draw;
+        const std::unique_ptr<workload::RandomSource> rest =
+            draw_step0(replica_config(group.first, replica), draw);
+        for (std::size_t j = group.first; j < group.end; ++j) {
+          record(j, replica,
+                 slot_backend(slot, jobs[j].backend)
+                     .measure_on_draw(replica_config(j, replica), draw, *rest));
+        }
       },
       threads, options_.grain,
       // Cap the region at the slots the caches cover: another thread
@@ -144,7 +210,7 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (!wall_clock[j]) continue;
     for (std::size_t replica = 0; replica < jobs[j].replicas; ++replica) {
-      run_replica(j, replica, /*slot=*/0);
+      record(j, replica, slot_backend(0, jobs[j].backend).measure(replica_config(j, replica)));
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,10 +71,22 @@ class Backend {
   /// catalog's input.
   [[nodiscard]] virtual BackendRun run(const mw::Config& config) = 0;
 
-  /// The measured values only, without materializing logs -- the
-  /// batch/sweep hot path.  For mw this is exactly
-  /// run_simulation + compute_metrics on a reused RunContext.
+  /// The measured values only, without materializing logs.  For the
+  /// virtual-time backends this draws step 0's task times and runs
+  /// measure_on_draw() on them; for mw it is exactly run_simulation +
+  /// compute_metrics on a reused RunContext.
   [[nodiscard]] virtual Measured measure(const mw::Config& config) = 0;
+
+  /// measure() on step 0's task times drawn by the caller (see
+  /// draw_step0): `step0` holds config.tasks draws and `rest` is their
+  /// source, positioned right after them.  Bitwise equal to
+  /// measure(config).  The batch/sweep hot path: exec::BatchRunner
+  /// draws each replica once and measures every vehicle of a science
+  /// cell on it.  The runtime backend has no task-time model and
+  /// ignores the draw.
+  [[nodiscard]] virtual Measured measure_on_draw(const mw::Config& config,
+                                                 std::span<const double> step0,
+                                                 workload::RandomSource& rest) = 0;
 
   /// Makespans/chunk times are exact simulated values (false for the
   /// native runtime, which measures wall clock).
@@ -94,6 +107,14 @@ struct BackendOptions {
   /// runtime: cap the spawned thread count (0 = exactly `workers`).
   unsigned runtime_max_threads = 0;
 };
+
+/// Draw step 0's task times of `config` (config.tasks draws of
+/// config.workload from workload::make_source(seed, use_rand48)) into
+/// `times`, reusing its capacity, and return the source positioned
+/// right after them -- the inputs of Backend::measure_on_draw.  Throws
+/// std::invalid_argument when config.workload is unset.
+[[nodiscard]] std::unique_ptr<workload::RandomSource> draw_step0(const mw::Config& config,
+                                                                 std::vector<double>& times);
 
 /// The known backend names, in canonical (lexicographic) order:
 /// "hagerup", "mw", "runtime".

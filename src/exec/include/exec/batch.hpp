@@ -48,21 +48,29 @@ struct BatchResult {
 /// experiments, tools and benches route "run this grid of
 /// configurations N times each" through.
 ///
-/// The replicas of all virtual-time jobs are flattened into one index
-/// space and claimed from a persistent pool::Executor (an external one
-/// via Options::executor, else the process-wide shared pool -- no
-/// per-call thread spawn).  Every executor slot keeps one
-/// exec::Backend *per backend name*, and those caches live for the
-/// runner's lifetime: consecutive run() calls (e.g. the consecutive
-/// cells of a sweep) reuse the backends' engines and buffers
-/// (mw::RunContext, hagerup::RunContext, the cached runtime executor)
-/// instead of reallocating them.  Wall-clock jobs (runtime) are
+/// Adjacent virtual-time jobs whose replicas would draw identical task
+/// times (equal tasks, seed, seed_stride, replicas, generator and
+/// use_rand48, single timestep, distinct backends -- a science cell's
+/// vehicles) form a draw group.  The (group, replica) units of all
+/// virtual-time jobs are flattened into one index space and claimed
+/// from a persistent pool::Executor (an external one via
+/// Options::executor, else the process-wide shared pool -- no per-call
+/// thread spawn).  A unit draws the replica's task times once
+/// (draw_step0) and measures every member on that one read-only draw
+/// (Backend::measure_on_draw), so the vehicles compare on identical
+/// inputs by construction.  Every executor slot keeps one
+/// exec::Backend *per backend name* plus the buffer its units draw
+/// into, and those caches live for the runner's lifetime: consecutive
+/// run() calls (e.g. the consecutive cells of a sweep) reuse the
+/// backends' engines and buffers (mw::RunContext, the cached runtime
+/// executor) instead of reallocating them.  Wall-clock jobs (runtime) are
 /// excluded from the pool and run one replica at a time -- each replica
 /// spawns its own worker threads and its timings ARE the measurement,
 /// so co-running replicas would measure contention, not run-to-run
 /// noise.  Results are deterministic for deterministic backends: each
 /// replica is seeded purely by (job, replica index), independent of
-/// thread scheduling.
+/// thread scheduling, and a shared draw is bitwise the draw each
+/// member would make alone.
 ///
 /// A BatchRunner is NOT thread-safe: one run() at a time per instance
 /// (the slot caches assume a single driving thread per region).
@@ -102,12 +110,18 @@ class BatchRunner {
  private:
   [[nodiscard]] Backend& slot_backend(unsigned slot, const std::string& name) const;
 
+  /// One executor slot's reusable state.
+  struct Slot {
+    std::map<std::string, std::unique_ptr<Backend>, std::less<>> backends;  ///< by name
+    std::vector<double> draw;  ///< step-0 task times of the unit this slot runs
+  };
+
   Options options_;
-  /// Per-slot Backend instances, keyed by backend name; slot s is only
-  /// ever touched by the executor participant holding slot ID s, so no
-  /// lock is needed.  mutable: the caches are perf state, not results
-  /// -- run() stays const for the many `const BatchRunner` call sites.
-  mutable std::vector<std::map<std::string, std::unique_ptr<Backend>, std::less<>>> slots_;
+  /// Slot s is only ever touched by the executor participant holding
+  /// slot ID s, so no lock is needed.  mutable: the caches are perf
+  /// state, not results -- run() stays const for the many
+  /// `const BatchRunner` call sites.
+  mutable std::vector<Slot> slots_;
 };
 
 }  // namespace exec

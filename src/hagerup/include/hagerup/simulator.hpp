@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dls/params.hpp"
@@ -63,8 +64,8 @@ struct RunResult {
 /// Reusable scratch buffers for run(): the task-time buffer (the
 /// dominant allocation of a replica at large n) is filled in place via
 /// workload generate_into instead of reallocated per run.  Not
-/// thread-safe; use one context per thread (exec::BatchRunner keeps one
-/// inside each pooled hagerup backend).
+/// thread-safe; use one context per thread (each exec hagerup backend
+/// keeps one).
 struct RunContext {
   std::vector<double> task_times;
 };
@@ -74,7 +75,15 @@ struct RunContext {
 
 /// Same, reusing `context`'s buffers across calls -- the fast path for
 /// replicated runs (see exec::Backend).  Bit-identical to the
-/// context-free overload.
+/// context-free overload.  Draws the task times (config.tasks draws of
+/// config.workload from workload::make_source(seed, use_rand48)) and
+/// runs the overload below on them.
 [[nodiscard]] RunResult run(const Config& config, RunContext& context);
+
+/// Run on task times drawn by the caller: `task_times` must hold
+/// config.tasks values, and config.workload/seed/use_rand48 are not
+/// consulted.  exec::BatchRunner draws a replica once and runs every
+/// vehicle of a science cell on that one draw.
+[[nodiscard]] RunResult run(const Config& config, std::span<const double> task_times);
 
 }  // namespace hagerup

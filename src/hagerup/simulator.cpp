@@ -2,6 +2,7 @@
 
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "dls/technique.hpp"
 #include "workload/random_source.hpp"
@@ -31,23 +32,25 @@ RunResult run(const Config& config) {
 }
 
 RunResult run(const Config& config, RunContext& context) {
+  if (!config.workload) throw std::invalid_argument("Config.workload is not set");
+  const std::unique_ptr<workload::RandomSource> rng =
+      workload::make_source(config.seed, config.use_rand48);
+  config.workload->generate_into(context.task_times, config.tasks, *rng);
+  return run(config, context.task_times);
+}
+
+RunResult run(const Config& config, std::span<const double> task_times) {
   if (config.pes == 0) throw std::invalid_argument("Config.pes must be >= 1");
   if (config.tasks == 0) throw std::invalid_argument("Config.tasks must be >= 1");
-  if (!config.workload) throw std::invalid_argument("Config.workload is not set");
+  if (task_times.size() != config.tasks) {
+    throw std::invalid_argument("hagerup::run: " + std::to_string(task_times.size()) +
+                                " task times for " + std::to_string(config.tasks) + " tasks");
+  }
 
   dls::Params params = config.params;
   params.p = config.pes;
   params.n = config.tasks;
   const auto technique = dls::make_technique(config.technique, params);
-
-  const std::unique_ptr<workload::RandomSource> rng =
-      config.use_rand48 ? std::unique_ptr<workload::RandomSource>(
-                              std::make_unique<workload::Rand48Source>(
-                                  static_cast<std::uint32_t>(config.seed)))
-                        : std::unique_ptr<workload::RandomSource>(
-                              std::make_unique<workload::XoshiroSource>(config.seed));
-  config.workload->generate_into(context.task_times, config.tasks, *rng);
-  const std::vector<double>& task_times = context.task_times;
 
   RunResult result;
   result.compute_time.assign(config.pes, 0.0);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <deque>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -163,7 +164,7 @@ struct RunContext::Impl {
   std::vector<simx::SimTime> reply_delay;
 
   // Serve-loop buffers.
-  std::vector<double> task_times;  ///< current step's task times
+  std::vector<double> task_times;  ///< steps drawn here (steps > 0; step 0 unless passed in)
   std::vector<double> prefix;      ///< prefix[i] = sum of task_times[0..i)
   TaskPool pool;
   IndexQueue to_serve;
@@ -195,12 +196,11 @@ struct Shared {
   std::size_t tasks_reclaimed = 0;
 };
 
-/// Rebuild the prefix-sum index over the current task times and extend
+/// Rebuild the prefix-sum index over a step's task times and extend
 /// the running total-nominal-work accumulator (kept as its own
 /// left-to-right sum so the reported total is independent of how chunks
 /// later partition the step).
-void rebuild_prefix(Shared& sh) {
-  const std::vector<double>& t = sh.buf->task_times;
+void rebuild_prefix(Shared& sh, std::span<const double> t) {
   std::vector<double>& prefix = sh.buf->prefix;
   prefix.resize(t.size() + 1);
   prefix[0] = 0.0;
@@ -293,7 +293,7 @@ simx::Actor master_actor(simx::Context& ctx, Shared& sh) {
     if (step > 0) {
       tech.start_new_timestep();
       cfg.workload->generate_into(buf.task_times, cfg.tasks, *sh.rng);
-      rebuild_prefix(sh);
+      rebuild_prefix(sh, buf.task_times);
     }
     pool.reset(cfg.tasks);
     std::size_t completed_tasks = 0;  // completed in this step
@@ -438,6 +438,21 @@ void validate(const Config& cfg) {
 
 RunResult run_simulation(const Config& config, RunContext& context) {
   validate(config);
+  const std::unique_ptr<workload::RandomSource> rng =
+      workload::make_source(config.seed, config.use_rand48);
+  std::vector<double>& step0 = context.impl_->task_times;
+  config.workload->generate_into(step0, config.tasks, *rng);
+  return run_simulation(config, context, step0, *rng);
+}
+
+RunResult run_simulation(const Config& config, RunContext& context,
+                         std::span<const double> step0, workload::RandomSource& rest) {
+  validate(config);
+  if (step0.size() != config.tasks) {
+    throw std::invalid_argument("run_simulation: " + std::to_string(step0.size()) +
+                                " step-0 task times for " + std::to_string(config.tasks) +
+                                " tasks");
+  }
   RunContext::Impl& buf = *context.impl_;
   const std::size_t p = config.workers;
 
@@ -515,17 +530,10 @@ RunResult run_simulation(const Config& config, RunContext& context) {
   params.n = config.tasks;
   const auto technique = dls::make_technique(config.technique, params);
 
-  const std::unique_ptr<workload::RandomSource> rng =
-      config.use_rand48
-          ? std::unique_ptr<workload::RandomSource>(std::make_unique<workload::Rand48Source>(
-                static_cast<std::uint32_t>(config.seed)))
-          : std::unique_ptr<workload::RandomSource>(
-                std::make_unique<workload::XoshiroSource>(config.seed));
-
   Shared shared;
   shared.config = &config;
   shared.technique = technique.get();
-  shared.rng = rng.get();
+  shared.rng = &rest;
   shared.buf = &buf;
   buf.tasks_per_worker.assign(p, 0);
   buf.chunks_per_worker.assign(p, 0);
@@ -544,8 +552,7 @@ RunResult run_simulation(const Config& config, RunContext& context) {
     buf.chunk_log.reserve(estimate);
     buf.range_log.reserve(estimate);
   }
-  config.workload->generate_into(buf.task_times, config.tasks, *rng);
-  rebuild_prefix(shared);
+  rebuild_prefix(shared, step0);
 
   buf.worker_states.assign(p, WorkerState{});
   for (std::size_t i = 0; i < p; ++i) {

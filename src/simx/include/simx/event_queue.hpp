@@ -125,8 +125,16 @@ class CalendarQueue {
         // only when the cursor makes progress, so a genuinely
         // same-time pile-up can't rebuild per pop), keeping identical
         // runs bit-identical.
+        //
+        // A width never fitted to a positive span (the default, or
+        // rebuilds that all ran during a same-time start-up burst)
+        // also re-fits here, once per bucket the cursor reaches, until
+        // the events spread out.  Each attempt sees a zero span only
+        // while every ring event shares one time -- and so one bucket
+        // -- so it costs no more than the sort it precedes.
         const std::size_t pending = bucket.size() - drain_pos_;
-        if (batch_refit_armed_ && pending >= 64 && pending * 4 >= ring_size_) {
+        if ((batch_refit_armed_ && pending >= 64 && pending * 4 >= ring_size_) ||
+            (!width_fitted_ && ring_size_ >= 2)) {
           batch_refit_armed_ = false;
           rebuild(buckets_.size());
           continue;
@@ -289,14 +297,7 @@ class CalendarQueue {
       ++first_finite;
     }
     const std::size_t finite = overflow_.size() - first_finite;
-    if (finite >= 2) {
-      const double span = overflow_[first_finite].time - tmin;
-      const double fitted = 2.0 * span / static_cast<double>(finite - 1);
-      if (fitted > 0.0 && std::isfinite(fitted)) {
-        width_ = fitted;
-        inv_width_ = 1.0 / width_;
-      }
-    }
+    fit_width(overflow_[first_finite].time - tmin, finite);
     origin_ = tmin;
     cursor_slot_ = 0;
     drain_pos_ = 0;
@@ -312,6 +313,20 @@ class CalendarQueue {
       return;
     }
     migrate_overflow();
+  }
+
+  /// Fit the width to the average spacing of `finite` finite-time
+  /// events spanning `span` seconds.  An empty or single-point spread
+  /// keeps the current width (and, if it was never fitted, leaves the
+  /// refit in pop() armed).
+  void fit_width(double span, std::size_t finite) {
+    if (finite < 2) return;
+    const double fitted = 2.0 * span / static_cast<double>(finite - 1);
+    if (fitted > 0.0 && std::isfinite(fitted)) {
+      width_ = fitted;
+      inv_width_ = 1.0 / width_;
+      width_fitted_ = true;
+    }
   }
 
   /// Re-bucket everything into `new_count` buckets with a width fitted
@@ -333,18 +348,9 @@ class CalendarQueue {
     overflow_.clear();
     std::sort(scratch_.begin(), scratch_.end(), EventBefore{});
 
-    // Fit the width to the average spacing of the finite-time events;
-    // an empty or single-point spread keeps the current width.
     std::size_t finite = scratch_.size();
     while (finite > 0 && !std::isfinite(scratch_[finite - 1].time)) --finite;
-    if (finite >= 2) {
-      const double span = scratch_[finite - 1].time - scratch_[0].time;
-      const double fitted = 2.0 * span / static_cast<double>(finite - 1);
-      if (fitted > 0.0 && std::isfinite(fitted)) {
-        width_ = fitted;
-        inv_width_ = 1.0 / width_;
-      }
-    }
+    if (finite >= 2) fit_width(scratch_[finite - 1].time - scratch_[0].time, finite);
 
     buckets_.resize(new_count);
     origin_ = scratch_.empty() ? 0.0 : scratch_.front().time;
@@ -389,6 +395,7 @@ class CalendarQueue {
   bool cursor_sorted_ = false;
   bool overflow_sorted_ = true;
   bool batch_refit_armed_ = true;  // one pile-up refit per cursor advance
+  bool width_fitted_ = false;      // width_ was fitted to a positive span; survives clear()
 };
 
 }  // namespace simx

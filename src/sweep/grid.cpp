@@ -207,6 +207,9 @@ exec::BatchJob batch_job(const Grid& grid, const Cell& cell) {
     // seed sequence (see mw::derive_cell_seed).  The scientific index
     // drives the derivation, so every backend of a cell replays the
     // cell on identical seeds -- the paper's cross-vehicle comparison.
+    // The backends of a cell are adjacent jobs, so exec::BatchRunner
+    // draws each replica's task times once and runs the cell's
+    // virtual-time vehicles on that one draw.
     job.config.seed = mw::derive_cell_seed(cell.spec.config.seed, cell.science_index);
   }
   return job;

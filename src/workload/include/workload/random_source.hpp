@@ -87,4 +87,10 @@ class XoshiroSource final : public RandomSource {
   std::uint64_t seed_;
 };
 
+/// The source a simulation draws its task times from: the replicated
+/// rand48 family (seeded with the low 32 bits of `seed`) or xoshiro.
+/// Every vehicle and checker builds its source here, so equal
+/// (seed, use_rand48) always means an equal stream.
+[[nodiscard]] std::unique_ptr<RandomSource> make_source(std::uint64_t seed, bool use_rand48);
+
 }  // namespace workload

@@ -27,4 +27,9 @@ std::unique_ptr<RandomSource> XoshiroSource::split(std::uint64_t index) const {
   return std::make_unique<XoshiroSource>(seed_ ^ (0x9E3779B97f4A7C15ull * (index + 1)));
 }
 
+std::unique_ptr<RandomSource> make_source(std::uint64_t seed, bool use_rand48) {
+  if (use_rand48) return std::make_unique<Rand48Source>(static_cast<std::uint32_t>(seed));
+  return std::make_unique<XoshiroSource>(seed);
+}
+
 }  // namespace workload

@@ -11,6 +11,7 @@
 #include "exec/backend.hpp"
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
+#include "workload/random_source.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -53,6 +54,45 @@ TEST(MwBackend, MeasureMatchesRunSimulationPlusMetricsBitwise) {
   EXPECT_EQ(m.avg_wasted_time, metrics.avg_wasted_time);
   EXPECT_EQ(m.speedup, metrics.speedup);
   EXPECT_EQ(m.chunks, static_cast<double>(metrics.chunks));
+}
+
+/// `backend.measure(cfg)` against measure_on_draw on a draw made here,
+/// outside the backend, from the config's own seed and generator.
+void expect_measure_equals_measure_on_draw(exec::Backend& backend, const mw::Config& cfg) {
+  const auto source = workload::make_source(cfg.seed, cfg.use_rand48);
+  const std::vector<double> step0 = cfg.workload->generate(cfg.tasks, *source);
+  const exec::Measured on_draw = backend.measure_on_draw(cfg, step0, *source);
+  const exec::Measured direct = backend.measure(cfg);
+  EXPECT_EQ(on_draw.makespan, direct.makespan) << backend.name();
+  EXPECT_EQ(on_draw.avg_wasted_time, direct.avg_wasted_time) << backend.name();
+  EXPECT_EQ(on_draw.speedup, direct.speedup) << backend.name();
+  EXPECT_EQ(on_draw.chunks, direct.chunks) << backend.name();
+}
+
+TEST(Backend, MeasureEqualsMeasureOnAnExternalDrawBitwise) {
+  for (const bool rand48 : {false, true}) {
+    mw::Config cfg = comparable_config(Kind::kFAC2, 4, 2048, /*seed=*/31);
+    cfg.use_rand48 = rand48;
+    expect_measure_equals_measure_on_draw(*exec::make_backend("mw"), cfg);
+    expect_measure_equals_measure_on_draw(*exec::make_backend("hagerup"), cfg);
+  }
+  // mw's later timesteps keep drawing from the source the caller hands
+  // over, positioned after step 0.
+  mw::Config steps = comparable_config(Kind::kAF, 4, 512, /*seed=*/8);
+  steps.timesteps = 3;
+  expect_measure_equals_measure_on_draw(*exec::make_backend("mw"), steps);
+}
+
+TEST(Backend, DrawStep0IsTheSimulatorsOwnDraw) {
+  const mw::Config cfg = comparable_config(Kind::kSS, 2, 300, /*seed=*/12);
+  std::vector<double> times;
+  const auto rest = exec::draw_step0(cfg, times);
+  const auto source = workload::make_source(cfg.seed, cfg.use_rand48);
+  EXPECT_EQ(times, cfg.workload->generate(cfg.tasks, *source));
+  EXPECT_EQ(rest->next_u64(), source->next_u64());  // positioned after step 0
+  mw::Config unset = cfg;
+  unset.workload = nullptr;
+  EXPECT_THROW((void)exec::draw_step0(unset, times), std::invalid_argument);
 }
 
 TEST(MwBackend, ContextReuseIsBitwiseDeterministic) {

@@ -3,7 +3,9 @@
 // (job, replica) regardless of thread count, identical to running the
 // replicas one by one through run_simulation/compute_metrics (for the
 // mw backend) or hagerup::run (for the hagerup backend), and the
-// backend field routes each job to its execution vehicle.
+// backend field routes each job to its execution vehicle.  Adjacent
+// jobs that draw identically (a science cell's vehicles) share one
+// draw per replica, and every job still matches its run alone bitwise.
 // Plus the grid seeding contract: BatchJob replica seeding is exactly
 // seed + stride * r (unchanged), and mw::derive_cell_seed gives grid
 // layers decorrelated, collision-free per-cell seeds.
@@ -317,6 +319,96 @@ TEST(BatchRunner, MixedPlatformShapesReuseContextsSafely) {
     cfg.seed = cfg.seed + jobs[1].seed_stride * r;
     EXPECT_DOUBLE_EQ(results[1].makespan_values[r], mw::run_simulation(cfg).makespan);
   }
+}
+
+/// Each job of `jobs` run alone (run_one), per-replica series kept.
+std::vector<exec::BatchResult> run_separately(const std::vector<exec::BatchJob>& jobs,
+                                              unsigned threads) {
+  exec::BatchRunner::Options options;
+  options.threads = threads;
+  options.keep_values = true;
+  const exec::BatchRunner runner(options);
+  std::vector<exec::BatchResult> out;
+  for (const exec::BatchJob& job : jobs) out.push_back(runner.run_one(job));
+  return out;
+}
+
+/// The batch of `jobs` at 1 and 3 threads must give every virtual-time
+/// job, replica by replica and bitwise, what it gives when run alone:
+/// a shared draw is exactly the draw each member would make.
+void expect_batch_matches_separate_runs(const std::vector<exec::BatchJob>& jobs) {
+  const std::vector<exec::BatchResult> alone = run_separately(jobs, 1);
+  for (const unsigned threads : {1u, 3u}) {
+    exec::BatchRunner::Options options;
+    options.threads = threads;
+    options.keep_values = true;
+    const std::vector<exec::BatchResult> batched = exec::BatchRunner(options).run(jobs);
+    ASSERT_EQ(batched.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      ASSERT_EQ(batched[j].makespan_values.size(), jobs[j].replicas);
+      if (jobs[j].backend == "runtime") continue;  // wall clock
+      EXPECT_EQ(batched[j].makespan_values, alone[j].makespan_values)
+          << "job " << j << ", threads " << threads;
+      EXPECT_EQ(batched[j].wasted_values, alone[j].wasted_values)
+          << "job " << j << ", threads " << threads;
+    }
+  }
+}
+
+exec::BatchJob on_backend(exec::BatchJob job, const char* backend) {
+  job.backend = backend;
+  return job;
+}
+
+TEST(BatchRunner, CellSiblingsShareADrawAndMatchSeparateRuns) {
+  // A science cell's vehicles as the sweep emits them: adjacent, equal
+  // seeds, each with its own generator instance parsed from one spec.
+  std::vector<exec::BatchJob> jobs;
+  for (const Kind kind : {Kind::kFAC2, Kind::kGSS, Kind::kBOLD}) {
+    const exec::BatchJob mw_job = make_job(kind, 4, 1024, 5, /*seed=*/1000 + jobs.size());
+    exec::BatchJob hagerup_job = on_backend(mw_job, "hagerup");
+    hagerup_job.config.workload = workload::from_spec("exponential:1");
+    jobs.push_back(mw_job);
+    jobs.push_back(hagerup_job);
+  }
+  // rand48 siblings too: the generator choice is part of the draw.
+  exec::BatchJob rand48_job = make_job(Kind::kTSS, 8, 777, 4, /*seed=*/9);
+  rand48_job.config.use_rand48 = true;
+  jobs.push_back(on_backend(rand48_job, "hagerup"));
+  jobs.push_back(rand48_job);
+  expect_batch_matches_separate_runs(jobs);
+}
+
+TEST(BatchRunner, SiblingsThatDrawDifferentlyStillMatchSeparateRuns) {
+  const exec::BatchJob base = make_job(Kind::kFAC2, 4, 512, 3, /*seed=*/77);
+  std::vector<exec::BatchJob> jobs;
+  // Only `tasks` differs.
+  jobs.push_back(base);
+  exec::BatchJob more_tasks = on_backend(base, "hagerup");
+  more_tasks.config.tasks = 640;
+  jobs.push_back(more_tasks);
+  // Only the workload spec differs.
+  jobs.push_back(base);
+  exec::BatchJob other_spec = on_backend(base, "hagerup");
+  other_spec.config.workload = workload::exponential(2.0);
+  jobs.push_back(other_spec);
+  // Equal-length traces share a name but not their values; only a
+  // generator with a spec form matches another instance.
+  exec::BatchJob trace_a = base;
+  trace_a.config.workload = workload::trace({1.0, 2.0, 3.0});
+  exec::BatchJob trace_b = on_backend(base, "hagerup");
+  trace_b.config.workload = workload::trace({3.0, 1.0, 0.5});
+  jobs.push_back(trace_a);
+  jobs.push_back(trace_b);
+  expect_batch_matches_separate_runs(jobs);
+}
+
+TEST(BatchRunner, RuntimeJobBetweenSiblingsKeepsThemExact) {
+  const exec::BatchJob mw_job = make_job(Kind::kGSS, 4, 512, 3, /*seed=*/5);
+  const std::vector<exec::BatchJob> jobs = {
+      mw_job, on_backend(make_job(Kind::kSS, 2, 128, 2), "runtime"),
+      on_backend(mw_job, "hagerup"), mw_job};
+  expect_batch_matches_separate_runs(jobs);
 }
 
 }  // namespace

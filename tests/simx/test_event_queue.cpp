@@ -209,6 +209,42 @@ TEST(CalendarQueue, StaleWidthPileUpRecovers) {
   }
 }
 
+TEST(CalendarQueue, SameTimeBurstRefitsWidth) {
+  // Every actor of a simulation starts at t = 0, so each occupancy
+  // rebuild of the start-up burst sees a zero span and cannot fit a
+  // width.  The hold model that follows (pop the minimum, push it back
+  // exp(1) later) never grows the queue again; the width must still
+  // adapt to the spread-out spacing instead of staying at its default
+  // and funnelling the whole ring into a few long buckets.
+  CalendarQueue queue;
+  ReferenceHeap heap;
+  std::uint64_t seq = 0;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const Event ev{0.0, seq++, {}, nullptr};
+    queue.push(ev);
+    heap.push(ev);
+  }
+  SplitMix rng{20170529};
+  for (std::size_t step = 0; step < 100000; ++step) {
+    const Event expected = heap.pop();
+    const Event got = queue.pop();
+    ASSERT_EQ(got.time, expected.time) << "step " << step;
+    ASSERT_EQ(got.seq, expected.seq) << "step " << step;
+    // Exponential(1) gap from 53 uniform bits, kept off log(0).
+    const double u = (static_cast<double>(rng.next() >> 11) + 0.5) * 0x1p-53;
+    const Event ev{got.time - std::log(u), seq++, {}, nullptr};
+    queue.push(ev);
+    heap.push(ev);
+  }
+  EXPECT_LT(queue.bucket_width(), 0.25);
+  while (!heap.empty()) {
+    const Event expected = heap.pop();
+    const Event got = queue.pop();
+    ASSERT_EQ(got.time, expected.time);
+    ASSERT_EQ(got.seq, expected.seq);
+  }
+}
+
 TEST(CalendarQueue, ClearKeepsGeometryAndReserveDoesNotThrow) {
   CalendarQueue queue;
   for (std::size_t i = 0; i < 10000; ++i) {
