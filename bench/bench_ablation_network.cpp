@@ -10,37 +10,29 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "mw/metrics.hpp"
-#include "mw/simulation.hpp"
-#include "pool/executor.hpp"
-#include "stats/summary.hpp"
+#include "exec/batch.hpp"
 #include "support/flags.hpp"
 #include "support/table.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
 
-double mean_wasted(dls::Kind kind, double latency, double bandwidth, std::size_t runs,
-                   unsigned threads) {
-  std::vector<double> values(runs);
-  pool::Executor::shared().parallel_for(
-      runs,
-      [&](std::size_t i) {
-        mw::Config cfg;
-        cfg.technique = kind;
-        cfg.workers = 8;
-        cfg.tasks = 8192;
-        cfg.params.h = 0.5;
-        cfg.params.mu = 1.0;
-        cfg.params.sigma = 1.0;
-        cfg.workload = workload::exponential(1.0);
-        cfg.latency = latency;
-        cfg.bandwidth = bandwidth;
-        cfg.seed = 777 + 97 * i;
-        values[i] = mw::compute_metrics(mw::run_simulation(cfg), cfg).avg_wasted_time;
-      },
-      threads);
-  return stats::summarize(values).mean;
+exec::BatchJob network_job(dls::Kind kind, double latency, double bandwidth, std::size_t runs) {
+  exec::BatchJob job;
+  mw::Config& cfg = job.config;
+  cfg.technique = kind;
+  cfg.workers = 8;
+  cfg.tasks = 8192;
+  cfg.params.h = 0.5;
+  cfg.params.mu = 1.0;
+  cfg.params.sigma = 1.0;
+  cfg.workload = workload::exponential(1.0);
+  cfg.latency = latency;
+  cfg.bandwidth = bandwidth;
+  cfg.seed = 777;
+  job.replicas = runs;
+  job.seed_stride = 97;
+  return job;
 }
 
 }  // namespace
@@ -72,16 +64,27 @@ int main(int argc, char** argv) {
       {"satellite (150ms, 1MB/s)", 0.15, 1e6},
   };
 
+  const dls::Kind kinds[] = {dls::Kind::kStatic, dls::Kind::kSS, dls::Kind::kGSS,
+                             dls::Kind::kFAC2, dls::Kind::kBOLD};
+  std::vector<exec::BatchJob> jobs;
+  for (const dls::Kind kind : kinds) {
+    for (const Network& net : networks) {
+      jobs.push_back(network_job(kind, net.latency, net.bandwidth, runs));
+    }
+  }
+  exec::BatchRunner::Options runner_options;
+  runner_options.threads = threads;
+  const std::vector<exec::BatchResult> results = exec::BatchRunner(runner_options).run(jobs);
+
   std::cout << "=== Ablation: network cost in the BOLD experiment (n = 8192, p = 8) ===\n\n";
   std::vector<std::string> header = {"technique"};
   for (const Network& net : networks) header.emplace_back(net.label);
   support::Table table(std::move(header));
-  for (const dls::Kind kind :
-       {dls::Kind::kStatic, dls::Kind::kSS, dls::Kind::kGSS, dls::Kind::kFAC2,
-        dls::Kind::kBOLD}) {
+  std::size_t job_index = 0;
+  for (const dls::Kind kind : kinds) {
     std::vector<std::string> row = {dls::to_string(kind)};
-    for (const Network& net : networks) {
-      row.push_back(support::fmt(mean_wasted(kind, net.latency, net.bandwidth, runs, threads), 2));
+    for (std::size_t n = 0; n < std::size(networks); ++n) {
+      row.push_back(support::fmt(results[job_index++].avg_wasted_time.mean, 2));
     }
     table.add_row(std::move(row));
   }

@@ -1,10 +1,8 @@
-#include "pool/executor.hpp"
 #include "repro/bold_experiment.hpp"
 
 #include <stdexcept>
 
 #include "exec/batch.hpp"
-#include "hagerup/simulator.hpp"
 #include "workload/task_times.hpp"
 
 namespace repro {
@@ -14,43 +12,13 @@ namespace {
 /// kept since the first reproduction runs so results stay comparable).
 constexpr std::uint64_t kSimSeedStride = 104729;
 
-/// Mean/stddev of `runs` independent evaluations of `per_run`,
-/// parallelized across threads (each run is seeded independently).
-stats::Summary collect(std::size_t runs, unsigned threads,
-                       const std::function<double(std::size_t)>& per_run) {
-  std::vector<double> values(runs);
-  pool::Executor::shared().parallel_for(
-      runs, [&](std::size_t i) { values[i] = per_run(i); }, threads);
-  return stats::summarize(values);
-}
+/// The per-run seed stride of the original (hagerup) side.
+constexpr std::uint64_t kOriginalSeedStride = 7919;
 
-double hagerup_run(const BoldOptions& options, dls::Kind technique, std::size_t pes,
-                   std::size_t run_index) {
-  hagerup::Config cfg;
-  cfg.technique = technique;
-  cfg.pes = pes;
-  cfg.tasks = options.tasks;
-  cfg.params.h = options.h;
-  cfg.params.mu = options.mu;
-  cfg.params.sigma = options.sigma;
-  cfg.workload = workload::exponential(options.mu);
-  cfg.use_rand48 = true;  // the generator family of the BOLD publication
-  // Per-worker analytic overhead accounting (h * chunks added to the
-  // wasted-time sum), matching the accounting the paper applies to its
-  // SimGrid-MSG side.  The alternative -- charging h inline on the
-  // worker timeline -- leaves a systematic 20-40% gap on the
-  // long-tailed techniques (GSS) because inline overhead overlaps idle
-  // time; the paper's reported <=15% bounds imply the original
-  // simulator accounted overhead the way we do here.  The inline
-  // variant is studied in bench_ablation_overhead.
-  cfg.charge_overhead_inline = false;
-  cfg.seed = options.seed_original + 7919 * run_index;
-  return hagerup::run(cfg).avg_wasted_time;
-}
-
-exec::BatchJob make_sim_job(const BoldOptions& options, dls::Kind technique, std::size_t pes) {
-  exec::BatchJob job;
-  mw::Config& cfg = job.config;
+/// The parameters both sides of a cell share: technique, p, n, the
+/// BOLD parameters and the exponential workload.
+mw::Config cell_config(const BoldOptions& options, dls::Kind technique, std::size_t pes) {
+  mw::Config cfg;
   cfg.technique = technique;
   cfg.workers = pes;
   cfg.tasks = options.tasks;
@@ -58,10 +26,36 @@ exec::BatchJob make_sim_job(const BoldOptions& options, dls::Kind technique, std
   cfg.params.mu = options.mu;
   cfg.params.sigma = options.sigma;
   cfg.workload = workload::exponential(options.mu);
-  cfg.overhead_mode = mw::OverheadMode::kAnalytic;  // paper Section III-B
+  return cfg;
+}
+
+exec::BatchJob make_original_job(const BoldOptions& options, dls::Kind technique,
+                                 std::size_t pes) {
+  exec::BatchJob job;
+  job.config = cell_config(options, technique, pes);
+  job.config.use_rand48 = true;  // the generator family of the BOLD publication
+  // Per-worker analytic overhead accounting (the hagerup backend adds
+  // h * chunks to the wasted-time sum), matching the accounting the
+  // paper applies to its SimGrid-MSG side.  The alternative --
+  // charging h inline on the worker timeline -- leaves a systematic
+  // 20-40% gap on the long-tailed techniques (GSS) because inline
+  // overhead overlaps idle time; the paper's reported <=15% bounds
+  // imply the original simulator accounted overhead the way we do
+  // here.  The inline variant is studied in bench_ablation_overhead.
+  job.config.seed = options.seed_original;
+  job.replicas = options.runs;
+  job.seed_stride = kOriginalSeedStride;
+  job.backend = "hagerup";
+  return job;
+}
+
+exec::BatchJob make_sim_job(const BoldOptions& options, dls::Kind technique, std::size_t pes) {
+  exec::BatchJob job;
+  job.config = cell_config(options, technique, pes);
+  job.config.overhead_mode = mw::OverheadMode::kAnalytic;  // paper Section III-B
   // Null network: "bandwidth to a very high value and the latency to a
   // very low value" -- defaults of mw::Config already encode this.
-  cfg.seed = options.seed_simgrid;
+  job.config.seed = options.seed_simgrid;
   job.replicas = options.runs;
   job.seed_stride = kSimSeedStride;
   job.backend = options.sim_backend;
@@ -90,31 +84,31 @@ support::Table bold_grid_table() {
 std::vector<BoldCell> run_bold_experiment(const BoldOptions& options) {
   if (options.runs == 0) throw std::invalid_argument("BoldOptions.runs must be >= 1");
 
-  // The simx side routes through the batched runner: all cells of the
-  // grid become one flattened job list, so threads stay busy across
-  // cell boundaries and per-thread engines are reused.
+  // Both sides route through the batched runner: all cells of the
+  // grid become one flattened job list (per cell, the original job
+  // then the simulation job), so threads stay busy across cell
+  // boundaries and per-thread engines are reused.
   std::vector<exec::BatchJob> jobs;
   for (const dls::Kind technique : options.techniques) {
     for (const std::size_t pes : options.pes) {
+      jobs.push_back(make_original_job(options, technique, pes));
       jobs.push_back(make_sim_job(options, technique, pes));
     }
   }
   exec::BatchRunner::Options runner_options;
   runner_options.threads = options.threads;
   const exec::BatchRunner runner(runner_options);
-  const std::vector<exec::BatchResult> sim_results = runner.run(jobs);
+  const std::vector<exec::BatchResult> results = runner.run(jobs);
 
   std::vector<BoldCell> cells;
   std::size_t job_index = 0;
   for (const dls::Kind technique : options.techniques) {
     for (const std::size_t pes : options.pes) {
+      const stats::Summary& original = results[job_index++].avg_wasted_time;
+      const stats::Summary& simgrid = results[job_index++].avg_wasted_time;
       BoldCell cell;
       cell.technique = technique;
       cell.pes = pes;
-      const stats::Summary original =
-          collect(options.runs, options.threads,
-                  [&](std::size_t i) { return hagerup_run(options, technique, pes, i); });
-      const stats::Summary& simgrid = sim_results[job_index++].avg_wasted_time;
       cell.original = original.mean;
       cell.original_stddev = original.stddev;
       cell.simgrid = simgrid.mean;

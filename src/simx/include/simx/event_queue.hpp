@@ -54,7 +54,8 @@ struct EventBefore {
 /// beyond the window's end wait in a sorted overflow tier and migrate
 /// into the ring as the cursor advances.  Steady-state push and pop are
 /// O(1) amortized -- no comparator-driven sifting -- which is why event
-/// cost stays flat as the pending count grows (see bench_simx_core).
+/// cost stays flat as the pending count grows (perfbench tracks it as
+/// simx.queue_pushpop_ns).
 ///
 /// Ordering is exact, not approximate: a bucket is sorted by
 /// (time, seq) when the cursor first drains it, pushes that land in the

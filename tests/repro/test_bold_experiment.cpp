@@ -2,7 +2,9 @@
 
 #include <cmath>
 
+#include "hagerup/simulator.hpp"
 #include "repro/bold_experiment.hpp"
+#include "workload/task_times.hpp"
 
 namespace {
 
@@ -68,6 +70,34 @@ TEST(BoldExperiment, DeterministicForSameOptions) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].original, b[i].original);
     EXPECT_DOUBLE_EQ(a[i].simgrid, b[i].simgrid);
+  }
+}
+
+TEST(BoldExperiment, OriginalSideIsTheHagerupReplicaSeries) {
+  // The original side is run i of the replicated Hagerup simulator at
+  // seed_original + 7919 * i (rand48, analytic overhead accounting),
+  // summarized bitwise -- whatever runner it goes through.
+  const repro::BoldOptions options = tiny_options();
+  const auto cells = repro::run_bold_experiment(options);
+  for (const repro::BoldCell& c : cells) {
+    std::vector<double> wasted;
+    for (std::size_t i = 0; i < options.runs; ++i) {
+      hagerup::Config cfg;
+      cfg.technique = c.technique;
+      cfg.pes = c.pes;
+      cfg.tasks = options.tasks;
+      cfg.params.h = options.h;
+      cfg.params.mu = options.mu;
+      cfg.params.sigma = options.sigma;
+      cfg.workload = workload::exponential(options.mu);
+      cfg.use_rand48 = true;
+      cfg.charge_overhead_inline = false;
+      cfg.seed = options.seed_original + 7919 * i;
+      wasted.push_back(hagerup::run(cfg).avg_wasted_time);
+    }
+    const stats::Summary expected = stats::summarize(wasted);
+    EXPECT_EQ(c.original, expected.mean) << dls::to_string(c.technique) << " p=" << c.pes;
+    EXPECT_EQ(c.original_stddev, expected.stddev) << dls::to_string(c.technique) << " p=" << c.pes;
   }
 }
 

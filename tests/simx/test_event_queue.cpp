@@ -178,7 +178,7 @@ TEST(CalendarQueue, StaleWidthPileUpRecovers) {
   // Fit the geometry to a sparse phase, then switch to a dense phase
   // three orders of magnitude tighter: the pile-up re-fit must keep
   // per-op cost sane AND preserve exact ordering.  (Ordering is what
-  // this asserts; bench_simx_core tracks the cost.)
+  // this asserts; perfbench tracks the cost as simx.queue_pushpop_ns.)
   CalendarQueue queue;
   ReferenceHeap heap;
   std::uint64_t seq = 0;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -187,6 +191,56 @@ TEST(SweepRunner, WriteFailureIsAnErrorNotASilentTruncation) {
   std::ostringstream out;
   out.setstate(std::ios::badbit);
   EXPECT_THROW((void)sweep::SweepRunner().run(grid, {}, out), std::runtime_error);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Runs the real `dls_sweep` binary; returns its exit code.
+int run_tool(const std::string& args) {
+  const std::string command = std::string(DLS_SWEEP_BIN) + " " + args + " 2>/dev/null";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(SweepTool, ResumeAfterTornTailMatchesUninterruptedByteForByte) {
+  // The CLI path: `--out` is rewritten atomically (temp + fsync +
+  // rename) before appending, so a resumed run leaves no temp file and
+  // ends byte-identical to one uninterrupted run.
+  std::string tmpl = "/tmp/dls_sweep_tool_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  const std::string spec = dir + "/grid.sweep";
+  {
+    std::ofstream out(spec);
+    out << "workload exponential:1.0\ntasks 128\nh 0.5\nseed 42\nreplicas 4\n"
+           "sweep technique SS GSS TSS\nsweep workers 2 4\n";
+  }
+  const std::string reference = dir + "/reference.jsonl";
+  const std::string out = dir + "/out.jsonl";
+  ASSERT_EQ(run_tool(spec + " --out " + reference + " --quiet"), 0);
+  ASSERT_EQ(run_tool(spec + " --out " + out + " --quiet --max-cells 2"), 0);
+
+  // Cut the last record in half, as a kill mid-write would.
+  const std::vector<std::string> first = lines_of(read_file(out));
+  ASSERT_EQ(first.size(), 2u);
+  {
+    std::ofstream torn(out, std::ios::trunc);
+    torn << first[0] << '\n' << first[1].substr(0, first[1].size() / 2);
+  }
+
+  ASSERT_EQ(run_tool(spec + " --out " + out + " --resume --quiet"), 0);
+  EXPECT_EQ(read_file(out), read_file(reference));
+  EXPECT_FALSE(std::ifstream(out + ".tmp").good());
+  // An existing output is never silently discarded.
+  EXPECT_EQ(run_tool(spec + " --out " + out + " --quiet"), 2);
+  EXPECT_EQ(read_file(out), read_file(reference));
+
+  EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }
 
 TEST(SweepRunner, RejectsBadShardOptions) {

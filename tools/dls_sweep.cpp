@@ -188,26 +188,15 @@ int run_mode(const support::Flags& flags) {
 
   std::ofstream file;
   if (!out_path.empty()) {
-    // Rewrite the surviving records (drops a truncated tail) into a
-    // temp file and rename it over the original, so a crash during the
-    // rewrite cannot destroy the completed records -- "a kill loses at
-    // most the cell in flight" must hold for the rewrite window too.
-    const std::string tmp_path = out_path + ".tmp";
-    {
-      std::ofstream tmp(tmp_path, std::ios::trunc);
-      if (!tmp) {
-        std::cerr << "dls_sweep: cannot write " << tmp_path << "\n";
-        return kExitRunError;
-      }
-      for (const std::string& line : previous.lines) tmp << line << '\n';
-      tmp.flush();
-      if (!tmp) {
-        std::cerr << "dls_sweep: failed writing " << tmp_path << "\n";
-        return kExitRunError;
-      }
-    }
-    if (std::rename(tmp_path.c_str(), out_path.c_str()) != 0) {
-      std::cerr << "dls_sweep: cannot rename " << tmp_path << " over " << out_path << "\n";
+    // Rewrite the surviving records (drops a truncated tail) in one
+    // atomic, durable step (temp + fsync + rename + directory fsync),
+    // so a crash during the rewrite cannot destroy the completed
+    // records -- "a kill loses at most the cell in flight" must hold
+    // for the rewrite window too.
+    try {
+      sweep::write_lines_atomic(out_path, previous.lines);
+    } catch (const std::exception& e) {
+      std::cerr << "dls_sweep: " << e.what() << "\n";
       return kExitRunError;
     }
     file.open(out_path, std::ios::app);
