@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return EXIT_FAILURE;
   }
-  const auto runs = static_cast<std::size_t>(flags.get_int("runs"));
-  const auto threads = static_cast<unsigned>(flags.get_int("threads"));
+  const auto runs = flags.get_count<std::size_t>("runs");
+  const auto threads = flags.get_count<unsigned>("threads");
 
   std::cout << "=== Ablation: overhead accounting (inline vs analytic), p = 8 ===\n"
             << "inline   = h charged on the worker timeline (BOLD publication)\n"

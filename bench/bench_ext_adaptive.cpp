@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   }
 
   repro::BoldOptions options;
-  options.tasks = static_cast<std::size_t>(flags.get_int("tasks"));
-  options.runs = static_cast<std::size_t>(flags.get_int("runs"));
-  options.threads = static_cast<unsigned>(flags.get_int("threads"));
+  options.tasks = flags.get_count<std::size_t>("tasks");
+  options.runs = flags.get_count<std::size_t>("runs");
+  options.threads = flags.get_count<unsigned>("threads");
   options.pes = {2, 8, 64, 256};
   options.techniques = {dls::Kind::kTAP,  dls::Kind::kWF,   dls::Kind::kAWF,
                         dls::Kind::kAWFB, dls::Kind::kAWFC, dls::Kind::kAF};

@@ -31,10 +31,7 @@ int main(int argc, char** argv) {
   }
 
   repro::TssOptions options = repro::tss_experiment1();
-  options.pes.clear();
-  for (std::int64_t p : flags.get_int_list("pes")) {
-    options.pes.push_back(static_cast<std::size_t>(p));
-  }
+  options.pes = flags.get_count_list("pes");
   options.sim_backend = flags.get("backend");
 
   if (flags.get_bool("sweep-spec")) {

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
 
   repro::BoldOptions options;
   options.tasks = 524288;
-  options.runs = static_cast<std::size_t>(flags.get_int("runs"));
-  options.threads = static_cast<unsigned>(flags.get_int("threads"));
+  options.runs = flags.get_count<std::size_t>("runs");
+  options.threads = flags.get_count<unsigned>("threads");
   options.sim_backend = flags.get("backend");
   const double cutoff = flags.get_double("cutoff");
 

@@ -31,13 +31,9 @@ int run_bold_bench(const BoldBenchSpec& spec, int argc, char** argv) {
 
   repro::BoldOptions options;
   options.tasks = spec.tasks;
-  options.runs = flags.get_bool("full") ? 1000
-                                        : static_cast<std::size_t>(flags.get_int("runs"));
-  options.threads = static_cast<unsigned>(flags.get_int("threads"));
-  options.pes.clear();
-  for (std::int64_t p : flags.get_int_list("pes")) {
-    options.pes.push_back(static_cast<std::size_t>(p));
-  }
+  options.runs = flags.get_bool("full") ? 1000 : flags.get_count<std::size_t>("runs");
+  options.threads = flags.get_count<unsigned>("threads");
+  options.pes = flags.get_count_list("pes");
   options.sim_backend = flags.get("backend");
   const bool csv = flags.get_bool("csv");
 

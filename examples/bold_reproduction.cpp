@@ -25,12 +25,9 @@ int main(int argc, char** argv) {
   }
 
   repro::BoldOptions options;
-  options.tasks = static_cast<std::size_t>(flags.get_int("tasks"));
-  options.runs = static_cast<std::size_t>(flags.get_int("runs"));
-  options.pes.clear();
-  for (std::int64_t p : flags.get_int_list("pes")) {
-    options.pes.push_back(static_cast<std::size_t>(p));
-  }
+  options.tasks = flags.get_count<std::size_t>("tasks");
+  options.runs = flags.get_count<std::size_t>("runs");
+  options.pes = flags.get_count_list("pes");
 
   std::cout << "BOLD publication reproduction, n = " << options.tasks << ", " << options.runs
             << " runs/cell (paper grid: Table III; h = 0.5 s, exp(mu = 1 s))\n\n";

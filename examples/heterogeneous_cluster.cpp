@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return EXIT_FAILURE;
   }
-  const auto tasks = static_cast<std::size_t>(flags.get_int("tasks"));
+  const auto tasks = flags.get_count<std::size_t>("tasks");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   // Platform capacity: 4*1 + 2*0.5 + 2*0.25 = 5.5 nominal PEs.

@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return EXIT_FAILURE;
   }
-  const auto size = static_cast<std::size_t>(flags.get_int("size"));
-  const int max_iter = static_cast<int>(flags.get_int("max-iter"));
-  const auto threads = static_cast<unsigned>(flags.get_int("threads"));
+  const auto size = flags.get_count<std::size_t>("size");
+  const int max_iter = flags.get_count<int>("max-iter");
+  const auto threads = flags.get_count<unsigned>("threads");
 
   std::cout << "Mandelbrot " << size << "x" << size << ", max " << max_iter
             << " iterations, " << threads << " threads; one task = one image row\n\n";

@@ -3,8 +3,9 @@
 //
 //   1. Application information: number of tasks, task-time distribution,
 //      the DLS technique and its Table I parameters.
-//   2. System information: hosts, network (here: built from the textual
-//      platform description, the analog of the SimGrid platform file).
+//   2. System information: hosts and network.  mw::Config's defaults
+//      (1 Gflop/s hosts, a near-null star network) are kept here;
+//      run_simulation builds the master-worker star from them.
 //   3. Execution: run the master-worker simulation and report the
 //      measured values (wasted time, speedup, chunk count).
 //
@@ -17,7 +18,6 @@
 #include "mw/metrics.hpp"
 #include "mw/simulation.hpp"
 #include "mw/trace.hpp"
-#include "simx/platform.hpp"
 #include "support/flags.hpp"
 #include "support/table.hpp"
 #include "workload/task_times.hpp"
@@ -37,23 +37,11 @@ int main(int argc, char** argv) {
     return EXIT_FAILURE;
   }
 
-  // --- demonstrate the platform description format (system information) ---
-  const char* platform_text = R"(
-    # A 2-host fragment; run_simulation builds the full star internally.
-    host master speed=1e9
-    host w0     speed=1e9
-    link l0     bandwidth=1e9 latency=1e-6
-    route master w0 l0
-  )";
-  const simx::Platform demo = simx::parse_platform(platform_text);
-  std::cout << "parsed demo platform: " << demo.host_count() << " hosts, " << demo.link_count()
-            << " links\n\n";
-
-  // --- application + execution information ---
+  // --- application, system and execution information ---
   mw::Config cfg;
   cfg.technique = dls::kind_from_string(flags.get("technique"));
-  cfg.tasks = static_cast<std::size_t>(flags.get_int("tasks"));
-  cfg.workers = static_cast<std::size_t>(flags.get_int("workers"));
+  cfg.tasks = flags.get_count<std::size_t>("tasks");
+  cfg.workers = flags.get_count<std::size_t>("workers");
   cfg.workload = workload::from_spec(flags.get("workload"));
   cfg.params.h = flags.get_double("h");
   cfg.params.mu = cfg.workload->mean();

@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return EXIT_FAILURE;
   }
-  const auto tasks = static_cast<std::size_t>(flags.get_int("tasks"));
-  const auto steps = static_cast<std::size_t>(flags.get_int("steps"));
+  const auto tasks = flags.get_count<std::size_t>("tasks");
+  const auto steps = flags.get_count<std::size_t>("steps");
 
   std::cout << "time-stepping run: " << steps << " steps x " << tasks
             << " tasks on 4 workers; workers 2+3 drop to 30% speed at t = 2000 s\n\n";

@@ -32,10 +32,7 @@ int main(int argc, char** argv) {
     return EXIT_FAILURE;
   }
   repro::TssOptions options = which == 1 ? repro::tss_experiment1() : repro::tss_experiment2();
-  options.pes.clear();
-  for (std::int64_t p : flags.get_int_list("pes")) {
-    options.pes.push_back(static_cast<std::size_t>(p));
-  }
+  options.pes = flags.get_count_list("pes");
 
   std::cout << "TSS publication experiment " << which << ": " << options.tasks
             << " tasks, constant " << support::fmt(options.task_seconds * 1e6, 0)

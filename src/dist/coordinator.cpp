@@ -17,9 +17,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dist/transport.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "net/transport.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/record.hpp"
 #include "sweep/shard_io.hpp"
@@ -42,7 +42,7 @@ constexpr std::size_t npos = LeaseEvent::npos;
 /// logic never looks past `transport`.
 struct WorkerLink {
   pid_t pid = -1;
-  std::unique_ptr<Transport> transport;
+  std::unique_ptr<net::Transport> transport;
   bool alive = false;
   bool hello = false;  ///< handshake done (always true for pipe workers)
   bool ready = false;
@@ -223,7 +223,7 @@ class Run {
 
       WorkerLink worker;
       worker.pid = pid;
-      worker.transport = std::make_unique<PipeTransport>(from_child[0], to_child[1]);
+      worker.transport = std::make_unique<net::PipeTransport>(from_child[0], to_child[1]);
       worker.alive = true;
       worker.hello = true;  // pipes are born trusted -- same machine, same user
       worker.last_msg = Clock::now();
@@ -284,7 +284,7 @@ class Run {
       // The write deadline doubles as the half-open guard on sends: a
       // remote worker that stops draining for a whole lease deadline
       // is treated as dead.
-      worker.transport = std::make_unique<SocketTransport>(
+      worker.transport = std::make_unique<net::SocketTransport>(
           fd, std::max(options_.lease_deadline, std::chrono::milliseconds(1000)));
       worker.alive = true;
       worker.hello = false;  // must HELLO before anything else

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "dist/protocol.hpp"
-#include "dist/transport.hpp"
+#include "net/transport.hpp"
 
 namespace dist {
 
@@ -74,7 +74,8 @@ struct WorkerOptions {
 /// files after DONE and answer FETCH with DATA chunks.  When
 /// `handshake` is set, HELLO is sent first and a SPEC reply is
 /// expected to supply the grid (overriding options.spec_text).
-[[nodiscard]] int run_worker_on_transport(const WorkerOptions& options, Transport& transport,
-                                          bool handshake, bool fetch_on_done);
+[[nodiscard]] int run_worker_on_transport(const WorkerOptions& options,
+                                          net::Transport& transport, bool handshake,
+                                          bool fetch_on_done);
 
 }  // namespace dist

@@ -33,7 +33,7 @@ constexpr std::size_t kFetchChunk = 64 * 1024;
 /// must then reclaim by deadline, not by EOF).
 class Heartbeat {
  public:
-  Heartbeat(Transport& transport, std::chrono::milliseconds interval,
+  Heartbeat(net::Transport& transport, std::chrono::milliseconds interval,
             const std::atomic<std::size_t>& computed)
       : transport_(transport), interval_(interval), computed_(computed) {
     thread_ = std::thread([this] { loop(); });
@@ -71,7 +71,7 @@ class Heartbeat {
     }
   }
 
-  Transport& transport_;
+  net::Transport& transport_;
   std::chrono::milliseconds interval_;
   const std::atomic<std::size_t>& computed_;
   std::thread thread_;
@@ -81,7 +81,7 @@ class Heartbeat {
   bool silenced_ DLS_GUARDED_BY(mutex_) = false;
 };
 
-[[nodiscard]] bool send_msg(Transport& transport, const WorkerMsg& msg) {
+[[nodiscard]] bool send_msg(net::Transport& transport, const WorkerMsg& msg) {
   return transport.send(encode(msg));
 }
 
@@ -89,7 +89,7 @@ class Heartbeat {
 /// `fetchcut` chaos (already armed by the caller) dies after the first
 /// chunk -- the mid-transfer-death case the coordinator must recover
 /// from by discarding the partial stream and re-leasing the stripe.
-[[nodiscard]] bool answer_fetch(Transport& transport, const WorkerOptions& options,
+[[nodiscard]] bool answer_fetch(net::Transport& transport, const WorkerOptions& options,
                                 const FetchMsg& fetch, bool fetchcut_now) {
   std::ifstream in(stripe_final_path(options.workdir, fetch.stripe), std::ios::binary);
   if (!in) {
@@ -117,8 +117,8 @@ class Heartbeat {
 
 }  // namespace
 
-int run_worker_on_transport(const WorkerOptions& options, Transport& transport, bool handshake,
-                            bool fetch_on_done) {
+int run_worker_on_transport(const WorkerOptions& options, net::Transport& transport,
+                            bool handshake, bool fetch_on_done) {
   sweep::Grid grid;
   std::string spec_text = options.spec_text;
 
@@ -131,9 +131,10 @@ int run_worker_on_transport(const WorkerOptions& options, Transport& transport, 
     // filesystem with the coordinator.
     std::string line;
     const auto status = transport.recv(line, options.idle_timeout);
-    if (status != Transport::RecvStatus::ok) {
+    if (status != net::Transport::RecvStatus::ok) {
       std::cerr << "dls_sweep work: no SPEC from coordinator ("
-                << (status == Transport::RecvStatus::timeout ? "timeout" : "closed") << ")\n";
+                << (status == net::Transport::RecvStatus::timeout ? "timeout" : "closed")
+                << ")\n";
       return 1;
     }
     try {
@@ -197,7 +198,7 @@ int run_worker_on_transport(const WorkerOptions& options, Transport& transport, 
   for (;;) {
     std::string line;
     const auto status = transport.recv(line, options.idle_timeout);
-    if (status == Transport::RecvStatus::closed) {
+    if (status == net::Transport::RecvStatus::closed) {
       // EOF without QUIT: the coordinator is gone; exit quietly unless
       // the stream itself was garbage.
       if (!transport.error().empty()) {
@@ -206,7 +207,7 @@ int run_worker_on_transport(const WorkerOptions& options, Transport& transport, 
       }
       return 0;
     }
-    if (status == Transport::RecvStatus::timeout) {
+    if (status == net::Transport::RecvStatus::timeout) {
       // Half-open-link guard: the coordinator pings every heartbeat
       // interval, so a silence this long means the link is wedged even
       // though the socket never EOF'd.
@@ -290,7 +291,7 @@ int run_worker_on_transport(const WorkerOptions& options, Transport& transport, 
 
 int run_worker(const WorkerOptions& options) {
   if (options.connect.empty()) {
-    PipeTransport transport(STDIN_FILENO, STDOUT_FILENO);
+    net::PipeTransport transport(STDIN_FILENO, STDOUT_FILENO);
     const int code = run_worker_on_transport(options, transport, /*handshake=*/false,
                                              /*fetch_on_done=*/false);
     // Leave stdio open for the process exit path; the transport closed
@@ -301,7 +302,7 @@ int run_worker(const WorkerOptions& options) {
     const net::HostPort address = net::parse_host_port(options.connect);
     const int fd =
         net::connect_with_retry(address, options.connect_attempts, options.connect_backoff);
-    SocketTransport transport(fd);
+    net::SocketTransport transport(fd);
     return run_worker_on_transport(options, transport, /*handshake=*/true,
                                    /*fetch_on_done=*/true);
   } catch (const std::exception& e) {

@@ -37,12 +37,12 @@ class MwBackend final : public Backend {
   [[nodiscard]] std::string_view name() const override { return "mw"; }
   void validate(const mw::Config&) const override {}  // the full space
   [[nodiscard]] bool virtual_time() const override { return true; }
-  [[nodiscard]] bool deterministic() const override { return true; }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     mw::Config cfg = config;
     cfg.record_chunk_log = true;
-    mw::RunResult result = mw::run_simulation(cfg, context_);
+    const std::unique_ptr<workload::RandomSource> rest = draw_step0(cfg, step0_);
+    mw::RunResult result = mw::run_simulation(cfg, context_, step0_, *rest);
     BackendRun run;
     run.backend = "mw";
     run.tasks = cfg.tasks;
@@ -57,10 +57,6 @@ class MwBackend final : public Backend {
     run.chunk_log = std::move(result.chunk_log);
     run.range_log = std::move(result.range_log);
     return run;
-  }
-
-  [[nodiscard]] Measured measure(const mw::Config& config) override {
-    return measured(mw::run_simulation(config, context_), config);
   }
 
   [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double> step0,
@@ -89,7 +85,6 @@ class HagerupBackend final : public Backend {
  public:
   [[nodiscard]] std::string_view name() const override { return "hagerup"; }
   [[nodiscard]] bool virtual_time() const override { return true; }
-  [[nodiscard]] bool deterministic() const override { return true; }
 
   void validate(const mw::Config& config) const override {
     if (config.timesteps > 1) {
@@ -123,7 +118,8 @@ class HagerupBackend final : public Backend {
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     hagerup::Config cfg = convert(config);
     cfg.record_chunk_log = true;
-    hagerup::RunResult result = hagerup::run(cfg, context_);
+    static_cast<void>(draw_step0(config, step0_));
+    hagerup::RunResult result = hagerup::run(cfg, step0_);
     BackendRun run;
     run.backend = "hagerup";
     run.tasks = cfg.tasks;
@@ -142,10 +138,6 @@ class HagerupBackend final : public Backend {
     }
     one_range_per_chunk(run);
     return run;
-  }
-
-  [[nodiscard]] Measured measure(const mw::Config& config) override {
-    return measured(hagerup::run(convert(config), context_));
   }
 
   [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double> step0,
@@ -178,8 +170,6 @@ class HagerupBackend final : public Backend {
     config.charge_overhead_inline = false;  // match mw's analytic accounting
     return config;
   }
-
-  hagerup::RunContext context_;
 };
 
 // ---------------------------------------------------------------------------
@@ -197,7 +187,6 @@ class RuntimeBackend final : public Backend {
   [[nodiscard]] std::string_view name() const override { return "runtime"; }
   void validate(const mw::Config&) const override {}  // structural subset of everything
   [[nodiscard]] bool virtual_time() const override { return false; }
-  [[nodiscard]] bool deterministic() const override { return false; }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     return execute(config, /*record_chunk_log=*/true);
@@ -292,6 +281,11 @@ class RuntimeBackend final : public Backend {
 };
 
 }  // namespace
+
+Measured Backend::measure(const mw::Config& config) {
+  const std::unique_ptr<workload::RandomSource> rest = draw_step0(config, step0_);
+  return measure_on_draw(config, step0_, *rest);
+}
 
 std::unique_ptr<workload::RandomSource> draw_step0(const mw::Config& config,
                                                   std::vector<double>& times) {

@@ -51,11 +51,11 @@ struct Measured {
 
 /// One execution vehicle behind a uniform mw::Config-shaped job spec.
 ///
-/// A Backend instance owns per-backend reusable state (mw::RunContext,
-/// hagerup::RunContext, a cached runtime executor), so consecutive
-/// runs on the same instance reuse engines and buffers instead of
-/// reallocating them.  Instances are NOT thread-safe: use one per
-/// thread (exec::BatchRunner keeps a pool).
+/// A Backend instance owns reusable state (a step-0 draw buffer,
+/// mw::RunContext, a cached runtime executor), so consecutive runs on
+/// the same instance reuse engines and buffers instead of reallocating
+/// them.  Instances are NOT thread-safe: use one per thread
+/// (exec::BatchRunner keeps a pool).
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -71,11 +71,11 @@ class Backend {
   /// catalog's input.
   [[nodiscard]] virtual BackendRun run(const mw::Config& config) = 0;
 
-  /// The measured values only, without materializing logs.  For the
-  /// virtual-time backends this draws step 0's task times and runs
-  /// measure_on_draw() on them; for mw it is exactly run_simulation +
-  /// compute_metrics on a reused RunContext.
-  [[nodiscard]] virtual Measured measure(const mw::Config& config) = 0;
+  /// The measured values only, without materializing logs: draws step
+  /// 0's task times (draw_step0) into a reused buffer and runs
+  /// measure_on_draw() on them.  The runtime backend, which has no
+  /// task-time model, overrides it.
+  [[nodiscard]] virtual Measured measure(const mw::Config& config);
 
   /// measure() on step 0's task times drawn by the caller (see
   /// draw_step0): `step0` holds config.tasks draws and `rest` is their
@@ -92,11 +92,10 @@ class Backend {
   /// native runtime, which measures wall clock).
   [[nodiscard]] virtual bool virtual_time() const = 0;
 
-  /// The same config always reproduces bitwise-identical results
-  /// (false for the native runtime).  Non-deterministic backends still
-  /// sweep/resume correctly (cells are skipped by identity), but their
-  /// records are not byte-reproducible.
-  [[nodiscard]] virtual bool deterministic() const = 0;
+ protected:
+  /// Step 0's task times of the last measure()/run() draw; its
+  /// capacity survives across calls.
+  std::vector<double> step0_;
 };
 
 /// Construction knobs that only apply to specific backends.

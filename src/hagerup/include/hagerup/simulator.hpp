@@ -61,24 +61,11 @@ struct RunResult {
   std::vector<dls::ChunkRecord> chunk_log;
 };
 
-/// Reusable scratch buffers for run(): the task-time buffer (the
-/// dominant allocation of a replica at large n) is filled in place via
-/// workload generate_into instead of reallocated per run.  Not
-/// thread-safe; use one context per thread (each exec hagerup backend
-/// keeps one).
-struct RunContext {
-  std::vector<double> task_times;
-};
-
-/// Run one simulation.  Deterministic in Config (including seed).
+/// Run one simulation.  Deterministic in Config (including seed):
+/// draws the task times (config.tasks draws of config.workload from
+/// workload::make_source(seed, use_rand48)) and runs the overload below
+/// on them.
 [[nodiscard]] RunResult run(const Config& config);
-
-/// Same, reusing `context`'s buffers across calls -- the fast path for
-/// replicated runs (see exec::Backend).  Bit-identical to the
-/// context-free overload.  Draws the task times (config.tasks draws of
-/// config.workload from workload::make_source(seed, use_rand48)) and
-/// runs the overload below on them.
-[[nodiscard]] RunResult run(const Config& config, RunContext& context);
 
 /// Run on task times drawn by the caller: `task_times` must hold
 /// config.tasks values, and config.workload/seed/use_rand48 are not

@@ -27,16 +27,12 @@ struct Later {
 }  // namespace
 
 RunResult run(const Config& config) {
-  RunContext context;
-  return run(config, context);
-}
-
-RunResult run(const Config& config, RunContext& context) {
   if (!config.workload) throw std::invalid_argument("Config.workload is not set");
   const std::unique_ptr<workload::RandomSource> rng =
       workload::make_source(config.seed, config.use_rand48);
-  config.workload->generate_into(context.task_times, config.tasks, *rng);
-  return run(config, context.task_times);
+  std::vector<double> task_times;
+  config.workload->generate_into(task_times, config.tasks, *rng);
+  return run(config, task_times);
 }
 
 RunResult run(const Config& config, std::span<const double> task_times) {

@@ -30,7 +30,6 @@ class RunContext {
   struct Impl;
 
  private:
-  friend RunResult run_simulation(const Config& config, RunContext& context);
   friend RunResult run_simulation(const Config& config, RunContext& context,
                                   std::span<const double> step0, workload::RandomSource& rest);
   std::unique_ptr<Impl> impl_;
@@ -51,17 +50,12 @@ class RunContext {
 /// configurations.
 [[nodiscard]] RunResult run_simulation(const Config& config);
 
-/// Same, but reusing `context`'s engine and buffers across calls --
-/// the fast path for parameter sweeps (see exec::BatchRunner).  Draws
-/// step 0's task times (config.tasks draws of config.workload from
-/// workload::make_source(seed, use_rand48)) and runs the overload below
-/// on them.
-RunResult run_simulation(const Config& config, RunContext& context);
-
-/// Run on step 0's task times drawn by the caller: `step0` must hold
-/// config.tasks values, and `rest` is the source they were drawn from,
-/// positioned right after them -- timesteps after the first keep
-/// drawing from it (config.seed/use_rand48 are not consulted).
+/// Run on step 0's task times drawn by the caller, reusing `context`'s
+/// engine and buffers across calls -- the fast path for parameter
+/// sweeps.  `step0` must hold config.tasks values, and `rest` is the
+/// source they were drawn from, positioned right after them --
+/// timesteps after the first keep drawing from it (config.seed and
+/// use_rand48 are not consulted; exec::draw_step0 makes both inputs).
 /// exec::BatchRunner draws a replica once and runs every vehicle of a
 /// science cell on that one draw.  `step0` is only read before the
 /// simulation starts.

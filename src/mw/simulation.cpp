@@ -164,7 +164,7 @@ struct RunContext::Impl {
   std::vector<simx::SimTime> reply_delay;
 
   // Serve-loop buffers.
-  std::vector<double> task_times;  ///< steps drawn here (steps > 0; step 0 unless passed in)
+  std::vector<double> task_times;  ///< timesteps after the first are drawn here
   std::vector<double> prefix;      ///< prefix[i] = sum of task_times[0..i)
   TaskPool pool;
   IndexQueue to_serve;
@@ -436,15 +436,6 @@ void validate(const Config& cfg) {
 
 }  // namespace
 
-RunResult run_simulation(const Config& config, RunContext& context) {
-  validate(config);
-  const std::unique_ptr<workload::RandomSource> rng =
-      workload::make_source(config.seed, config.use_rand48);
-  std::vector<double>& step0 = context.impl_->task_times;
-  config.workload->generate_into(step0, config.tasks, *rng);
-  return run_simulation(config, context, step0, *rng);
-}
-
 RunResult run_simulation(const Config& config, RunContext& context,
                          std::span<const double> step0, workload::RandomSource& rest) {
   validate(config);
@@ -486,12 +477,7 @@ RunResult run_simulation(const Config& config, RunContext& context,
       if (!config.worker_speed_profiles.empty()) {
         worker_host.set_speed_profile(config.worker_speed_profiles[i]);
       }
-      const simx::Link& link =
-          platform.add_link(simx::indexed_name("l", i), config.bandwidth, config.latency);
-      // Index-based route registration: construction does no name
-      // lookups (the add_host/add_link duplicate checks are the only
-      // string comparisons left on this path).
-      platform.add_route(master, worker_host, link);
+      platform.add_route(master, worker_host, config.bandwidth, config.latency);
     }
     buf.engine.emplace(std::move(platform));
     buf.shape = PlatformShape{p,
@@ -603,8 +589,13 @@ RunResult run_simulation(const Config& config, RunContext& context,
 }
 
 RunResult run_simulation(const Config& config) {
+  validate(config);
+  const std::unique_ptr<workload::RandomSource> rng =
+      workload::make_source(config.seed, config.use_rand48);
+  std::vector<double> step0;
+  config.workload->generate_into(step0, config.tasks, *rng);
   RunContext context;
-  return run_simulation(config, context);
+  return run_simulation(config, context, step0, *rng);
 }
 
 }  // namespace mw

@@ -278,10 +278,6 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
   return spec;
 }
 
-mw::Config parse_experiment(std::string_view text) {
-  return parse_experiment_spec(text).config;
-}
-
 std::string serialize_experiment_spec(const ExperimentSpec& spec) {
   const mw::Config& cfg = spec.config;
   if (!cfg.workload) throw std::invalid_argument("serialize: spec has no workload");

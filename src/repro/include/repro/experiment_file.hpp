@@ -9,9 +9,10 @@
 
 namespace repro {
 
-/// Textual experiment description -- the "Application Information" +
-/// "Execution Information" side of paper Figure 2, complementing the
-/// platform/deployment files of simx.  Format (one `key value` pair per
+/// Textual experiment description -- all three sides of paper Figure
+/// 2: application, system (host speeds and profiles, network latency
+/// and bandwidth) and execution information.  mw builds its simulated
+/// platform from these keys alone.  Format (one `key value` pair per
 /// line, '#' comments):
 ///
 ///   technique FAC2            # STAT SS CSS FSC GSS TSS FAC FAC2 BOLD ...
@@ -72,9 +73,6 @@ struct ExperimentSpec {
 /// typo must not silently change an experiment).  Throws
 /// std::invalid_argument naming the offending line (number and text).
 [[nodiscard]] ExperimentSpec parse_experiment_spec(std::string_view text);
-
-/// Backward-compatible view: the Config of parse_experiment_spec.
-[[nodiscard]] mw::Config parse_experiment(std::string_view text);
 
 /// Render `spec` in the textual format above, such that
 /// parse_experiment_spec(serialize_experiment_spec(spec)) describes the

@@ -253,7 +253,7 @@ class Engine {
   SimTime run();
 
   /// Destroy all actors and pending events and rewind the clock to 0,
-  /// keeping the platform (hosts, links, routes) and the event-queue
+  /// keeping the platform (hosts and routes) and the event-queue
   /// capacity.  This is what makes per-thread engine reuse across a
   /// batch of runs cheap: the platform -- the only construction cost
   /// that grows with the worker count -- is built once.

@@ -26,7 +26,7 @@ struct SpeedProfile {
   [[nodiscard]] bool operator==(const SpeedProfile&) const = default;
 };
 
-/// Process-wide interned "<prefix><index>" name ("w0", "l17", ...).
+/// Process-wide interned "<prefix><index>" name ("w0", "worker17", ...).
 /// The returned reference stays valid for the process lifetime.  Star
 /// platforms and mailboxes are rebuilt for every simulated run; the
 /// numbered name strings are shared across all of them instead of being
@@ -75,24 +75,17 @@ class Host {
   SpeedProfile profile_;
 };
 
-/// A network link with a latency/bandwidth cost model (paper Figure 2:
-/// "Network: Bandwidth, Latency, Topology").
-struct Link {
-  std::string name;
-  double bandwidth = 0.0;  ///< bytes/s
-  SimTime latency = 0.0;   ///< seconds
-};
-
-/// The simulated system: hosts, links and routes.  This is the in-memory
-/// form of the paper's "SimGrid-MSG platform file"; parse_platform()
-/// reads the textual form.
+/// The simulated system: hosts and the routes between them (paper
+/// Figure 2: "Hosts: Speed, Number of Cores" and "Network: Bandwidth,
+/// Latency, Topology").  Hosts are addressed by the index add_host
+/// assigns; a host's name is a diagnostic label only.
 ///
-/// Message cost model: a transfer of b bytes along a route traverses all
-/// its links store-free, costing sum(latencies) + b / min(bandwidths).
-/// This is a documented simplification of SimGrid's flow model; the
-/// reproduced experiments either null out the network (BOLD study:
-/// "bandwidth to a very high value and the latency to a very low value")
-/// or use a star topology where the simple model is exact per message.
+/// Message cost model: every route is one link, and a transfer of b
+/// bytes along it costs latency + b / bandwidth.  This is a documented
+/// simplification of SimGrid's flow model; the reproduced experiments
+/// either null out the network (BOLD study: "bandwidth to a very high
+/// value and the latency to a very low value") or use a star topology
+/// where the simple model is exact per message.
 class Platform {
  public:
   Platform() = default;
@@ -101,24 +94,15 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
+  /// Append a host; its index() is the number of hosts added before it.
   Host& add_host(const std::string& name, double speed_flops);
-  Link& add_link(const std::string& name, double bandwidth, SimTime latency);
-  /// Register a bidirectional route between two hosts over the named
-  /// links.  Re-registering a pair overwrites the previous route.
-  void add_route(const std::string& host_a, const std::string& host_b,
-                 const std::vector<std::string>& link_names);
-  /// Index-based single-link route registration: the construction fast
-  /// path for generated topologies (star builders, the mw serve loop),
-  /// which already hold the Host&/Link& returned by add_host/add_link
-  /// and should not re-resolve them by name.
-  void add_route(const Host& host_a, const Host& host_b, const Link& link);
+  /// Register a bidirectional route between two hosts over one link
+  /// with the given bandwidth (bytes/s, > 0) and latency (s, >= 0);
+  /// throws std::invalid_argument otherwise.  Re-registering a pair
+  /// overwrites the previous route.
+  void add_route(const Host& host_a, const Host& host_b, double bandwidth, SimTime latency);
 
-  [[nodiscard]] Host& host(std::string_view name);
-  [[nodiscard]] const Host& host(std::string_view name) const;
-  [[nodiscard]] bool has_host(std::string_view name) const;
-  [[nodiscard]] Link& link(std::string_view name);
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
-  [[nodiscard]] std::size_t link_count() const { return links_.size(); }
   [[nodiscard]] Host& host_at(std::size_t index) { return *hosts_.at(index); }
 
   /// Time to move `bytes` from `src` to `dst`.  Same-host transfers are
@@ -128,7 +112,7 @@ class Platform {
  private:
   struct RouteCost {
     SimTime latency = 0.0;
-    double bandwidth = 0.0;  ///< > 0 for a registered route (add_link validates)
+    double bandwidth = 0.0;  ///< > 0 for a registered route (add_route validates)
   };
   /// Dense per-host route row with a base offset: costs[j] is the route
   /// to peer index base + j, bandwidth == 0 meaning "no route".  A star
@@ -143,48 +127,7 @@ class Platform {
   void set_route_cost(std::size_t from, std::size_t to, RouteCost cost);
 
   std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<std::unique_ptr<Link>> links_;
-  /// Host/link indices kept sorted by name: flat binary-search lookup
-  /// replaces the node-based std::map (construction-time only paths).
-  std::vector<std::size_t> hosts_by_name_;
-  std::vector<std::size_t> links_by_name_;
   std::vector<RouteRow> routes_;  ///< indexed by host index
 };
-
-/// Convenience constructors for the topologies used by the experiments.
-
-/// Star platform of paper Figure 1: one "master" host plus `workers`
-/// hosts "w0".."w<n-1>", each connected to the master by a private link
-/// with the given bandwidth/latency.  All hosts run at `speed` flops/s.
-[[nodiscard]] Platform make_star_platform(std::size_t workers, double speed, double bandwidth,
-                                          SimTime latency);
-
-/// The BOLD-reproduction platform: a star whose network is effectively
-/// free ("setting the network parameters bandwidth to a very high value
-/// and the latency to a very low value.  This simulates no costs for
-/// communication", paper Section III-B).
-[[nodiscard]] Platform make_null_network_platform(std::size_t workers, double speed = 1e9);
-
-/// Parse the textual platform description (the analog of the paper's
-/// SimGrid platform file):
-///
-///   # comment
-///   host <name> speed=<flops> [profile=<t0>:<s0>,<t1>:<s1>,...]
-///   link <name> bandwidth=<bytes/s> latency=<s>
-///   route <hostA> <hostB> <link> [<link>...]
-///
-/// Throws std::invalid_argument with a line number on malformed input.
-[[nodiscard]] Platform parse_platform(std::string_view text);
-
-/// A deployment maps actor functions to hosts with string arguments
-/// (the analog of the paper's SimGrid-MSG deployment file):
-///
-///   actor <host> <function> [arg...]
-struct DeploymentEntry {
-  std::string host;
-  std::string function;
-  std::vector<std::string> args;
-};
-[[nodiscard]] std::vector<DeploymentEntry> parse_deployment(std::string_view text);
 
 }  // namespace simx

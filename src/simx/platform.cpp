@@ -1,14 +1,11 @@
 #include "simx/platform.hpp"
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <mutex>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
 
 namespace simx {
@@ -73,7 +70,7 @@ struct PrefixTable {
 
 PrefixTable& prefix_table(std::string_view prefix) {
   // Thread-local cache of resolved prefixes: the steady-state lookup
-  // ("w", "l", "worker") is a short linear scan with zero shared state.
+  // ("w", "worker") is a short linear scan with zero shared state.
   struct CacheEntry {
     std::string prefix;
     PrefixTable* table;
@@ -167,48 +164,10 @@ SimTime Host::finish_time_profiled(SimTime start, double flops) const {
   }
 }
 
-namespace {
-
-const std::string& item_name(const Host& h) { return h.name(); }
-const std::string& item_name(const Link& l) { return l.name; }
-
-/// Binary search in an index vector kept sorted by element name.
-/// Returns the insertion position; *found tells whether the name is
-/// already present there.
-template <typename Owned>
-std::size_t name_position(const std::vector<std::size_t>& sorted,
-                          const std::vector<std::unique_ptr<Owned>>& items,
-                          std::string_view name, bool* found) {
-  const auto it = std::lower_bound(
-      sorted.begin(), sorted.end(), name,
-      [&](std::size_t index, std::string_view key) { return item_name(*items[index]) < key; });
-  *found = it != sorted.end() && item_name(*items[*it]) == name;
-  return static_cast<std::size_t>(it - sorted.begin());
-}
-
-}  // namespace
-
 Host& Platform::add_host(const std::string& name, double speed_flops) {
-  bool found = false;
-  const std::size_t pos = name_position(hosts_by_name_, hosts_, name, &found);
-  if (found) throw std::invalid_argument("duplicate host: " + name);
   hosts_.push_back(std::make_unique<Host>(name, speed_flops, hosts_.size()));
-  hosts_by_name_.insert(hosts_by_name_.begin() + static_cast<std::ptrdiff_t>(pos),
-                        hosts_.size() - 1);
   routes_.emplace_back();
   return *hosts_.back();
-}
-
-Link& Platform::add_link(const std::string& name, double bandwidth, SimTime latency) {
-  bool found = false;
-  const std::size_t pos = name_position(links_by_name_, links_, name, &found);
-  if (found) throw std::invalid_argument("duplicate link: " + name);
-  if (!(bandwidth > 0.0)) throw std::invalid_argument("link bandwidth must be > 0");
-  if (latency < 0.0) throw std::invalid_argument("link latency must be >= 0");
-  links_.push_back(std::make_unique<Link>(Link{name, bandwidth, latency}));
-  links_by_name_.insert(links_by_name_.begin() + static_cast<std::ptrdiff_t>(pos),
-                        links_.size() - 1);
-  return *links_.back();
 }
 
 void Platform::set_route_cost(std::size_t from, std::size_t to, RouteCost cost) {
@@ -227,53 +186,13 @@ void Platform::set_route_cost(std::size_t from, std::size_t to, RouteCost cost) 
   row.costs[to - row.base] = cost;
 }
 
-void Platform::add_route(const std::string& host_a, const std::string& host_b,
-                         const std::vector<std::string>& link_names) {
-  if (link_names.empty()) throw std::invalid_argument("route needs at least one link");
-  RouteCost cost;
-  cost.bandwidth = std::numeric_limits<double>::infinity();
-  for (const std::string& ln : link_names) {
-    const Link& l = link(ln);
-    cost.latency += l.latency;
-    cost.bandwidth = std::min(cost.bandwidth, l.bandwidth);
-  }
-  const std::size_t a = host(host_a).index();
-  const std::size_t b = host(host_b).index();
-  set_route_cost(a, b, cost);
-  set_route_cost(b, a, cost);
-}
-
-void Platform::add_route(const Host& host_a, const Host& host_b, const Link& link) {
-  const RouteCost cost{link.latency, link.bandwidth};
+void Platform::add_route(const Host& host_a, const Host& host_b, double bandwidth,
+                         SimTime latency) {
+  if (!(bandwidth > 0.0)) throw std::invalid_argument("link bandwidth must be > 0");
+  if (latency < 0.0) throw std::invalid_argument("link latency must be >= 0");
+  const RouteCost cost{latency, bandwidth};
   set_route_cost(host_a.index(), host_b.index(), cost);
   set_route_cost(host_b.index(), host_a.index(), cost);
-}
-
-Host& Platform::host(std::string_view name) {
-  bool found = false;
-  const std::size_t pos = name_position(hosts_by_name_, hosts_, name, &found);
-  if (!found) throw std::invalid_argument("unknown host: " + std::string(name));
-  return *hosts_[hosts_by_name_[pos]];
-}
-
-const Host& Platform::host(std::string_view name) const {
-  bool found = false;
-  const std::size_t pos = name_position(hosts_by_name_, hosts_, name, &found);
-  if (!found) throw std::invalid_argument("unknown host: " + std::string(name));
-  return *hosts_[hosts_by_name_[pos]];
-}
-
-bool Platform::has_host(std::string_view name) const {
-  bool found = false;
-  static_cast<void>(name_position(hosts_by_name_, hosts_, name, &found));
-  return found;
-}
-
-Link& Platform::link(std::string_view name) {
-  bool found = false;
-  const std::size_t pos = name_position(links_by_name_, links_, name, &found);
-  if (!found) throw std::invalid_argument("unknown link: " + std::string(name));
-  return *links_[links_by_name_[pos]];
 }
 
 SimTime Platform::comm_time(const Host& src, const Host& dst, std::size_t bytes) const {
@@ -286,140 +205,6 @@ SimTime Platform::comm_time(const Host& src, const Host& dst, std::size_t bytes)
   }
   const RouteCost& cost = row.costs[peer - row.base];
   return cost.latency + static_cast<double>(bytes) / cost.bandwidth;
-}
-
-Platform make_star_platform(std::size_t workers, double speed, double bandwidth,
-                            SimTime latency) {
-  Platform p;
-  const Host& master = p.add_host("master", speed);
-  for (std::size_t i = 0; i < workers; ++i) {
-    const Host& host = p.add_host(indexed_name("w", i), speed);
-    const Link& link = p.add_link(indexed_name("l", i), bandwidth, latency);
-    p.add_route(master, host, link);
-  }
-  return p;
-}
-
-Platform make_null_network_platform(std::size_t workers, double speed) {
-  // "Very high" bandwidth and "very low" latency per paper Section III-B;
-  // the values below make every message cost ~1e-12 s, far below any
-  // task or overhead time scale in the reproduced experiments.
-  return make_star_platform(workers, speed, /*bandwidth=*/1e21, /*latency=*/1e-12);
-}
-
-namespace {
-
-/// Split a line into whitespace-separated tokens.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
-}
-
-[[noreturn]] void parse_error(std::size_t line_no, const std::string& message) {
-  throw std::invalid_argument("line " + std::to_string(line_no) + ": " + message);
-}
-
-/// Parse "key=value" and return value if key matches, else nullopt.
-std::optional<std::string> key_value(const std::string& token, std::string_view key) {
-  const auto eq = token.find('=');
-  if (eq == std::string::npos || token.substr(0, eq) != key) return std::nullopt;
-  return token.substr(eq + 1);
-}
-
-double parse_double(const std::string& text, std::size_t line_no) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("");
-    return v;
-  } catch (const std::exception&) {
-    parse_error(line_no, "bad number: " + text);
-  }
-}
-
-SpeedProfile parse_profile(const std::string& text, std::size_t line_no) {
-  SpeedProfile profile;
-  std::istringstream is(text);
-  std::string pair;
-  while (std::getline(is, pair, ',')) {
-    const auto colon = pair.find(':');
-    if (colon == std::string::npos) parse_error(line_no, "profile entry needs t:speed: " + pair);
-    profile.time_points.push_back(parse_double(pair.substr(0, colon), line_no));
-    profile.speeds.push_back(parse_double(pair.substr(colon + 1), line_no));
-  }
-  return profile;
-}
-
-}  // namespace
-
-Platform parse_platform(std::string_view text) {
-  Platform platform;
-  std::istringstream is{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tok = tokenize(line);
-    if (tok.empty()) continue;
-    if (tok[0] == "host") {
-      if (tok.size() < 3) parse_error(line_no, "host needs: host <name> speed=<flops>");
-      std::optional<std::string> speed;
-      std::optional<std::string> profile;
-      for (std::size_t i = 2; i < tok.size(); ++i) {
-        if (auto v = key_value(tok[i], "speed")) speed = v;
-        else if (auto pv = key_value(tok[i], "profile")) profile = pv;
-        else parse_error(line_no, "unknown host attribute: " + tok[i]);
-      }
-      if (!speed) parse_error(line_no, "host is missing speed=");
-      Host& h = platform.add_host(tok[1], parse_double(*speed, line_no));
-      if (profile) h.set_speed_profile(parse_profile(*profile, line_no));
-    } else if (tok[0] == "link") {
-      if (tok.size() != 4) {
-        parse_error(line_no, "link needs: link <name> bandwidth=<bytes/s> latency=<s>");
-      }
-      std::optional<std::string> bw;
-      std::optional<std::string> lat;
-      for (std::size_t i = 2; i < tok.size(); ++i) {
-        if (auto v = key_value(tok[i], "bandwidth")) bw = v;
-        else if (auto lv = key_value(tok[i], "latency")) lat = lv;
-        else parse_error(line_no, "unknown link attribute: " + tok[i]);
-      }
-      if (!bw || !lat) parse_error(line_no, "link needs bandwidth= and latency=");
-      platform.add_link(tok[1], parse_double(*bw, line_no), parse_double(*lat, line_no));
-    } else if (tok[0] == "route") {
-      if (tok.size() < 4) parse_error(line_no, "route needs: route <hostA> <hostB> <link>...");
-      try {
-        platform.add_route(tok[1], tok[2], {tok.begin() + 3, tok.end()});
-      } catch (const std::exception& e) {
-        parse_error(line_no, e.what());
-      }
-    } else {
-      parse_error(line_no, "unknown directive: " + tok[0]);
-    }
-  }
-  return platform;
-}
-
-std::vector<DeploymentEntry> parse_deployment(std::string_view text) {
-  std::vector<DeploymentEntry> entries;
-  std::istringstream is{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tok = tokenize(line);
-    if (tok.empty()) continue;
-    if (tok[0] != "actor" || tok.size() < 3) {
-      parse_error(line_no, "deployment lines are: actor <host> <function> [arg...]");
-    }
-    entries.push_back(DeploymentEntry{tok[1], tok[2], {tok.begin() + 3, tok.end()}});
-  }
-  return entries;
 }
 
 }  // namespace simx

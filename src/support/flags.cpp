@@ -93,19 +93,19 @@ double Flags::get_double(std::string_view name) const {
   }
 }
 
-std::vector<std::int64_t> Flags::get_int_list(std::string_view name) const {
+std::vector<std::size_t> Flags::get_count_list(std::string_view name) const {
   const std::string v = get(name);
-  std::vector<std::int64_t> out;
+  std::vector<std::size_t> out;
   std::stringstream ss(v);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
     std::int64_t x{};
     auto [ptr, ec] = std::from_chars(item.data(), item.data() + item.size(), x);
-    if (ec != std::errc{} || ptr != item.data() + item.size()) {
+    if (ec != std::errc{} || ptr != item.data() + item.size() || x < 0) {
       throw std::invalid_argument("flag --" + std::string(name) + " has a bad list item: " + item);
     }
-    out.push_back(x);
+    out.push_back(static_cast<std::size_t>(x));
   }
   return out;
 }

@@ -1,11 +1,14 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace support {
@@ -33,8 +36,23 @@ class Flags {
   [[nodiscard]] bool get_bool(std::string_view name) const;
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
-  /// Parse a comma-separated list of integers, e.g. "2,8,64".
-  [[nodiscard]] std::vector<std::int64_t> get_int_list(std::string_view name) const;
+
+  /// get_int for a count or width (runs, threads, workers, ...): throws
+  /// std::invalid_argument when the value is negative or too large for
+  /// T, where a plain cast would wrap "-1" into a huge unsigned count.
+  template <typename T>
+  [[nodiscard]] T get_count(std::string_view name) const {
+    const std::int64_t value = get_int(name);
+    if (value < 0 || !std::in_range<T>(value)) {
+      throw std::invalid_argument("flag --" + std::string(name) + " must be in [0, " +
+                                  std::to_string(std::numeric_limits<T>::max()) +
+                                  "]: " + std::to_string(value));
+    }
+    return static_cast<T>(value);
+  }
+  /// Parse a comma-separated list of counts, e.g. "2,8,64"; a negative
+  /// item is an error like a malformed one.
+  [[nodiscard]] std::vector<std::size_t> get_count_list(std::string_view name) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
   [[nodiscard]] std::string usage() const;

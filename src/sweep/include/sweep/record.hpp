@@ -26,7 +26,7 @@ struct RecordKey {
   friend auto operator<=>(const RecordKey&, const RecordKey&) = default;
 };
 
-/// Render one completed cell as a single JSONL record:
+/// Renders completed cells of ONE grid as single JSONL records:
 ///
 ///   {"cell":12,"of":40,"backend":"mw","replicas":100,
 ///    "sweep":{"technique":"GSS","workers":"64"},
@@ -48,18 +48,12 @@ struct RecordKey {
 /// native `runtime` backend measures wall clock: its records resume and
 /// merge by identity, but re-running such a cell produces different
 /// bytes.)
-[[nodiscard]] std::string render_record(const Grid& grid, const Cell& cell,
-                                        const exec::BatchJob& job,
-                                        const exec::BatchResult& result);
-
-/// Renders the records of ONE grid with the invariant pieces built
-/// once per batch instead of once per record: the `"of"`/grid-size
-/// fragment is formatted at construction, and the `experiment` echo is
-/// assembled from the cell and job already in hand -- the free
-/// function's cell_experiment_text path re-expands (re-parses) the
-/// cell and re-derives its job for every record it renders.
-/// Byte-identical output to render_record (pinned by the golden sweep
-/// tests); the free function delegates here.
+///
+/// The invariant pieces are built once per grid instead of once per
+/// record: the `"of"`/grid-size fragment is formatted at construction,
+/// and the `experiment` echo is assembled from the cell and job already
+/// in hand rather than by re-expanding the cell (cell_experiment_text,
+/// which the echo must equal byte for byte).
 class RecordRenderer {
  public:
   explicit RecordRenderer(const Grid& grid);
@@ -93,7 +87,7 @@ class RecordRenderer {
 
 /// The experiment echo a record of (full) cell `index` must carry (the
 /// serialized cell spec with the derived seed and backend applied --
-/// what render_record embeds).
+/// what RecordRenderer embeds).
 [[nodiscard]] std::string cell_experiment_text(const Grid& grid, std::size_t index);
 
 /// Check that previously written records actually belong to `grid`:

@@ -9,8 +9,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "hagerup/simulator.hpp"
+#include "workload/random_source.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -71,13 +73,14 @@ void expect_golden(const hagerup::Config& cfg, const Golden& golden) {
   EXPECT_EQ(bits(fresh.total_work), bits(golden.total_work));
   EXPECT_EQ(chunk_log_hash(fresh), golden.log_hash);
 
-  // Reusing a RunContext must not perturb a single bit.
-  hagerup::RunContext context;
-  (void)hagerup::run(cfg, context);
-  const hagerup::RunResult reused = hagerup::run(cfg, context);
-  EXPECT_EQ(bits(reused.makespan), bits(golden.makespan));
-  EXPECT_EQ(reused.chunk_count, golden.chunks);
-  EXPECT_EQ(chunk_log_hash(reused), golden.log_hash);
+  // Task times drawn outside the simulator (the batch path) must not
+  // perturb a single bit.
+  const auto source = workload::make_source(cfg.seed, cfg.use_rand48);
+  const std::vector<double> task_times = cfg.workload->generate(cfg.tasks, *source);
+  const hagerup::RunResult drawn = hagerup::run(cfg, task_times);
+  EXPECT_EQ(bits(drawn.makespan), bits(golden.makespan));
+  EXPECT_EQ(drawn.chunk_count, golden.chunks);
+  EXPECT_EQ(chunk_log_hash(drawn), golden.log_hash);
 }
 
 TEST(HagerupGolden, SelfSchedulingExponential) {

@@ -15,8 +15,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "mw/simulation.hpp"
+#include "workload/random_source.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -86,10 +88,16 @@ void expect_golden(const mw::Config& cfg, const Golden& golden) {
   EXPECT_EQ(workers_hash(fresh), golden.workers_hash);
 
   // A reused context must not change anything: run twice through the
-  // same RunContext (the second run hits the cached engine).
+  // same RunContext (the second run hits the cached engine), each on a
+  // draw made here from the config's own seed and generator.
   mw::RunContext context;
-  (void)mw::run_simulation(cfg, context);
-  const mw::RunResult reused = mw::run_simulation(cfg, context);
+  const auto run_reusing_context = [&] {
+    const auto rest = workload::make_source(cfg.seed, cfg.use_rand48);
+    const std::vector<double> step0 = cfg.workload->generate(cfg.tasks, *rest);
+    return mw::run_simulation(cfg, context, step0, *rest);
+  };
+  (void)run_reusing_context();
+  const mw::RunResult reused = run_reusing_context();
   EXPECT_EQ(bits(reused.makespan), bits(golden.makespan));
   EXPECT_EQ(reused.chunk_count, golden.chunks);
   EXPECT_EQ(chunk_log_hash(reused), golden.log_hash);

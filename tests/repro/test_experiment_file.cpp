@@ -20,7 +20,7 @@ seed      7
 )";
 
 TEST(ExperimentFile, ParsesValidDescription) {
-  const mw::Config cfg = repro::parse_experiment(kValid);
+  const mw::Config cfg = repro::parse_experiment_spec(kValid).config;
   EXPECT_EQ(cfg.technique, dls::Kind::kFAC2);
   EXPECT_EQ(cfg.tasks, 1024u);
   EXPECT_EQ(cfg.workers, 8u);
@@ -32,8 +32,8 @@ TEST(ExperimentFile, ParsesValidDescription) {
 }
 
 TEST(ExperimentFile, ExplicitMuSigmaOverride) {
-  const mw::Config cfg = repro::parse_experiment(
-      "technique BOLD\ntasks 100\nworkers 2\nworkload exponential:2.0\nmu 5\nsigma 0.5\n");
+  const mw::Config cfg = repro::parse_experiment_spec(
+      "technique BOLD\ntasks 100\nworkers 2\nworkload exponential:2.0\nmu 5\nsigma 0.5\n").config;
   EXPECT_DOUBLE_EQ(cfg.params.mu, 5.0);
   EXPECT_DOUBLE_EQ(cfg.params.sigma, 0.5);
 }
@@ -54,7 +54,7 @@ css_chunk 10
 gss_min   5
 rand48    true
 )";
-  const mw::Config cfg = repro::parse_experiment(text);
+  const mw::Config cfg = repro::parse_experiment_spec(text).config;
   EXPECT_EQ(cfg.timesteps, 2u);
   EXPECT_EQ(cfg.overhead_mode, mw::OverheadMode::kSimulated);
   EXPECT_DOUBLE_EQ(cfg.latency, 1e-5);
@@ -64,7 +64,7 @@ rand48    true
 
 TEST(ExperimentFile, UnknownKeyIsAnErrorWithLineNumber) {
   try {
-    (void)repro::parse_experiment("technique SS\nbanana 1\n");
+    (void)repro::parse_experiment_spec("technique SS\nbanana 1\n");
     FAIL() << "expected error";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
@@ -73,21 +73,21 @@ TEST(ExperimentFile, UnknownKeyIsAnErrorWithLineNumber) {
 }
 
 TEST(ExperimentFile, RejectsMalformedInput) {
-  EXPECT_THROW((void)repro::parse_experiment("technique\n"), std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment("technique SS extra\n"), std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment("technique NOPE\ntasks 1\nworkers 1\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec("technique\n"), std::invalid_argument);
+  EXPECT_THROW((void)repro::parse_experiment_spec("technique SS extra\n"), std::invalid_argument);
+  EXPECT_THROW((void)repro::parse_experiment_spec("technique NOPE\ntasks 1\nworkers 1\n"),
                std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment("tasks -5\n"), std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment("overhead maybe\n"), std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment("rand48 maybe\n"), std::invalid_argument);
+  EXPECT_THROW((void)repro::parse_experiment_spec("tasks -5\n"), std::invalid_argument);
+  EXPECT_THROW((void)repro::parse_experiment_spec("overhead maybe\n"), std::invalid_argument);
+  EXPECT_THROW((void)repro::parse_experiment_spec("rand48 maybe\n"), std::invalid_argument);
 }
 
 TEST(ExperimentFile, RequiresMandatoryKeys) {
-  EXPECT_THROW((void)repro::parse_experiment("technique SS\nworkers 2\nworkload constant:1\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec("technique SS\nworkers 2\nworkload constant:1\n"),
                std::invalid_argument);  // no tasks
-  EXPECT_THROW((void)repro::parse_experiment("technique SS\ntasks 10\nworkload constant:1\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec("technique SS\ntasks 10\nworkload constant:1\n"),
                std::invalid_argument);  // no workers
-  EXPECT_THROW((void)repro::parse_experiment("technique SS\ntasks 10\nworkers 2\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec("technique SS\ntasks 10\nworkers 2\n"),
                std::invalid_argument);  // no workload
 }
 
@@ -148,9 +148,9 @@ TEST(ExperimentFile, Full64BitSeedsRoundTripExactly) {
   const std::string text = repro::serialize_experiment_spec(spec);
   EXPECT_EQ(repro::parse_experiment_spec(text).config.seed, 13679457532755275413ULL);
   // Scientific notation still works where it is exact.
-  EXPECT_EQ(repro::parse_experiment("technique SS\ntasks 64\nworkers 2\n"
-                                    "workload constant:1.0\nseed 1e6\n")
-                .seed,
+  EXPECT_EQ(repro::parse_experiment_spec("technique SS\ntasks 64\nworkers 2\n"
+                                         "workload constant:1.0\nseed 1e6\n")
+                .config.seed,
             1000000u);
 }
 
@@ -159,8 +159,8 @@ TEST(ExperimentFile, OutOfRangeNumberIsALineNumberedError) {
   // that into the usual line-numbered parse error, not propagate a
   // bare out_of_range (or worse, clamp silently).
   try {
-    (void)repro::parse_experiment("technique SS\ntasks 64\nworkers 2\n"
-                                  "workload constant:1.0\nlatency 1e999\n");
+    (void)repro::parse_experiment_spec("technique SS\ntasks 64\nworkers 2\n"
+                                       "workload constant:1.0\nlatency 1e999\n");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
@@ -174,7 +174,7 @@ TEST(ExperimentFile, SweepLineIsRejectedWithGridHint) {
   // A grid spec fed to the single-experiment parser must fail loudly
   // and point at dls_sweep, not die on a confusing trailing token.
   try {
-    (void)repro::parse_experiment("technique SS\nsweep workers 2 4 8\n");
+    (void)repro::parse_experiment_spec("technique SS\nsweep workers 2 4 8\n");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
@@ -197,7 +197,7 @@ weights   1,1,2
 failures  inf,3.5,inf
 profile1  0:2e9,5:0,10:1e9
 )";
-  const mw::Config cfg = repro::parse_experiment(text);
+  const mw::Config cfg = repro::parse_experiment_spec(text).config;
   EXPECT_DOUBLE_EQ(cfg.host_speed, 2e9);
   EXPECT_EQ(cfg.request_bytes, 128u);
   EXPECT_EQ(cfg.reply_bytes, 32u);
@@ -219,24 +219,24 @@ profile1  0:2e9,5:0,10:1e9
 
 TEST(ExperimentFile, ExtensionsValidatePerWorkerSizes) {
   const char* base = "technique SS\ntasks 10\nworkers 3\nworkload constant:1\n";
-  EXPECT_THROW((void)repro::parse_experiment(std::string(base) + "speeds 1,2\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec(std::string(base) + "speeds 1,2\n"),
                std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment(std::string(base) + "failures 1\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec(std::string(base) + "failures 1\n"),
                std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment(std::string(base) + "weights 1,2,3,4\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec(std::string(base) + "weights 1,2,3,4\n"),
                std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment(std::string(base) + "profile7 0:1e9\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec(std::string(base) + "profile7 0:1e9\n"),
                std::invalid_argument);
-  EXPECT_THROW((void)repro::parse_experiment(std::string(base) + "profile0 5:1e9\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec(std::string(base) + "profile0 5:1e9\n"),
                std::invalid_argument);  // profile must start at t = 0
-  EXPECT_THROW((void)repro::parse_experiment(std::string(base) + "profileX 0:1e9\n"),
+  EXPECT_THROW((void)repro::parse_experiment_spec(std::string(base) + "profileX 0:1e9\n"),
                std::invalid_argument);
 }
 
 TEST(ExperimentFile, ParseErrorsNameTheOffendingLine) {
   auto message_of = [](const char* text) {
     try {
-      (void)repro::parse_experiment(text);
+      (void)repro::parse_experiment_spec(text);
     } catch (const std::invalid_argument& e) {
       return std::string(e.what());
     }

@@ -61,7 +61,7 @@ simx::Actor thrower(Context& ctx, SleepState& st) {
 TEST(Engine, SleepAdvancesVirtualClock) {
   Engine engine(one_host());
   SleepState st{2.5, -1.0};
-  engine.spawn("s", engine.platform().host("h"),
+  engine.spawn("s", engine.platform().host_at(0),
                [&st](Context& ctx) { return sleeper(ctx, st); });
   const double makespan = engine.run();
   EXPECT_DOUBLE_EQ(makespan, 2.5);
@@ -71,7 +71,7 @@ TEST(Engine, SleepAdvancesVirtualClock) {
 TEST(Engine, ExecuteUsesHostSpeed) {
   Engine engine(one_host());  // 1e9 flops/s
   ExecState st{3e9, -1.0};
-  engine.spawn("e", engine.platform().host("h"),
+  engine.spawn("e", engine.platform().host_at(0),
                [&st](Context& ctx) { return executor(ctx, st); });
   engine.run();
   EXPECT_DOUBLE_EQ(st.finished_at, 3.0);
@@ -80,7 +80,7 @@ TEST(Engine, ExecuteUsesHostSpeed) {
 TEST(Engine, ExecuteAccountsComputingTime) {
   Engine engine(one_host());
   ExecState st{2e9, -1.0};
-  engine.spawn("e", engine.platform().host("h"),
+  engine.spawn("e", engine.platform().host_at(0),
                [&st](Context& ctx) { return executor(ctx, st); });
   engine.run();
   const std::vector<ActorAccounting> acc = engine.accounting();
@@ -98,7 +98,7 @@ TEST(Engine, ActorsInterleaveInTimeOrder) {
   for (TraceState* st : {&a, &b, &c}) {
     std::string name = "t";
     name += std::to_string(st->id);
-    engine.spawn(name, engine.platform().host("h"),
+    engine.spawn(name, engine.platform().host_at(0),
                  [st](Context& ctx) { return tracer(ctx, *st); });
   }
   engine.run();
@@ -112,7 +112,7 @@ TEST(Engine, SimultaneousEventsFireInSpawnOrder) {
   for (TraceState* st : {&a, &b, &c}) {
     std::string name = "t";
     name += std::to_string(st->id);
-    engine.spawn(name, engine.platform().host("h"),
+    engine.spawn(name, engine.platform().host_at(0),
                  [st](Context& ctx) { return tracer(ctx, *st); });
   }
   engine.run();
@@ -129,7 +129,7 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
       states.push_back(TraceState{static_cast<double>((i * 7) % 5), i, &order});
     }
     for (auto& st : states) {
-      engine.spawn("t", engine.platform().host("h"),
+      engine.spawn("t", engine.platform().host_at(0),
                    [&st](Context& ctx) { return tracer(ctx, st); });
     }
     engine.run();
@@ -141,7 +141,7 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
 TEST(Engine, ActorExceptionPropagatesFromRun) {
   Engine engine(one_host());
   SleepState st{1.0, -1.0};
-  engine.spawn("boom", engine.platform().host("h"),
+  engine.spawn("boom", engine.platform().host_at(0),
                [&st](Context& ctx) { return thrower(ctx, st); });
   EXPECT_THROW(engine.run(), std::runtime_error);
 }
@@ -149,7 +149,7 @@ TEST(Engine, ActorExceptionPropagatesFromRun) {
 TEST(Engine, UnfinishedActorsAreReported) {
   Platform p = one_host();
   Engine engine(std::move(p));
-  simx::Mailbox<int> mb(engine, "mb", engine.platform().host("h"));
+  simx::Mailbox<int> mb(engine, "mb", engine.platform().host_at(0));
   struct WaitState {
     simx::Mailbox<int>* mb;
   } wst{&mb};
@@ -158,7 +158,7 @@ TEST(Engine, UnfinishedActorsAreReported) {
       (void)co_await st.mb->recv(ctx);
     }
   };
-  engine.spawn("stuck", engine.platform().host("h"),
+  engine.spawn("stuck", engine.platform().host_at(0),
                [&wst](Context& ctx) { return Body::wait_forever(ctx, wst); });
   engine.run();  // no events: returns immediately at t=0... the initial
                  // resume runs the actor into recv, then nothing wakes it
@@ -170,7 +170,7 @@ TEST(Engine, UnfinishedActorsAreReported) {
 TEST(Engine, ZeroDurationActivitiesCostNothing) {
   Engine engine(one_host());
   ExecState st{0.0, -1.0};
-  engine.spawn("z", engine.platform().host("h"),
+  engine.spawn("z", engine.platform().host_at(0),
                [&st](Context& ctx) { return executor(ctx, st); });
   const double makespan = engine.run();
   EXPECT_DOUBLE_EQ(makespan, 0.0);
@@ -185,7 +185,7 @@ TEST(Engine, NegativeDurationsRejected) {
       co_await ctx.sleep_for(-1.0);
     }
   };
-  engine.spawn("n", engine.platform().host("h"),
+  engine.spawn("n", engine.platform().host_at(0),
                [](Context& ctx) { return Body::negative_sleep(ctx); });
   EXPECT_THROW(engine.run(), std::invalid_argument);
 }
@@ -195,7 +195,7 @@ TEST(Engine, AccountedTimesSumToLifetime) {
   // accounted states equals its finish time (kReady consumes none).
   Platform p = one_host();
   Engine engine(std::move(p));
-  simx::Mailbox<int> mb(engine, "mb", engine.platform().host("h"));
+  simx::Mailbox<int> mb(engine, "mb", engine.platform().host_at(0));
   struct St {
     simx::Mailbox<int>* mb;
   } st{&mb};
@@ -206,7 +206,7 @@ TEST(Engine, AccountedTimesSumToLifetime) {
       (void)co_await s.mb->recv(ctx);  // waits 0.5 s
     }
   };
-  engine.spawn("m", engine.platform().host("h"),
+  engine.spawn("m", engine.platform().host_at(0),
                [&st](Context& ctx) { return Body::mixed(ctx, st); });
   mb.put_delayed(7, 4.0);  // visible at t = 4.0
   engine.run();
@@ -236,7 +236,7 @@ TEST(Engine, SpawnDuringRunStartsAtCurrentTime) {
       s.engine->spawn("child", ctx.host(), [&s](Context& c) { return child(c, s); });
     }
   };
-  engine.spawn("parent", engine.platform().host("h"),
+  engine.spawn("parent", engine.platform().host_at(0),
                [&st](Context& ctx) { return Body::parent(ctx, st); });
   const double makespan = engine.run();
   EXPECT_DOUBLE_EQ(st.child_finish, 3.0);  // spawned at 2, sleeps 1
@@ -250,7 +250,7 @@ TEST(Engine, ProfiledHostSlowsExecution) {
   h.set_speed_profile(simx::SpeedProfile{{0.0, 1.0}, {1e9, 5e8}});
   Engine engine(std::move(p));
   ExecState st{2e9, -1.0};
-  engine.spawn("e", engine.platform().host("h"),
+  engine.spawn("e", engine.platform().host_at(0),
                [&st](Context& ctx) { return executor(ctx, st); });
   engine.run();
   EXPECT_DOUBLE_EQ(st.finished_at, 3.0);  // 1s full speed + 2s half speed

@@ -15,10 +15,9 @@ using simx::Platform;
 
 Platform two_hosts(double latency = 0.5) {
   Platform p;
-  p.add_host("a", 1e9);
-  p.add_host("b", 1e9);
-  p.add_link("l", 1e6, latency);
-  p.add_route("a", "b", {"l"});
+  const simx::Host& a = p.add_host("a", 1e9);
+  const simx::Host& b = p.add_host("b", 1e9);
+  p.add_route(a, b, /*bandwidth=*/1e6, latency);
   return p;
 }
 
@@ -77,12 +76,12 @@ simx::Actor multi_sender(Context&, MultiSendState& st) {
 
 TEST(Mailbox, MessageArrivesAfterRouteLatency) {
   Engine engine(two_hosts(0.5));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   PingState ping{&box, 42, 0, -1.0};
   PongState pong{&box, 0, -1.0};
-  engine.spawn("recv", engine.platform().host("b"),
+  engine.spawn("recv", engine.platform().host_at(1),
                [&pong](Context& ctx) { return ponger(ctx, pong); });
-  engine.spawn("send", engine.platform().host("a"),
+  engine.spawn("send", engine.platform().host_at(0),
                [&ping](Context& ctx) { return pinger(ctx, ping); });
   engine.run();
   EXPECT_EQ(pong.received, 42);
@@ -92,12 +91,12 @@ TEST(Mailbox, MessageArrivesAfterRouteLatency) {
 
 TEST(Mailbox, TransferTimeIncludesBandwidth) {
   Engine engine(two_hosts(0.5));  // bandwidth 1e6
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   PingState ping{&box, 1, 1000000, -1.0};  // 1 MB -> 1 s transfer
   PongState pong{&box, 0, -1.0};
-  engine.spawn("recv", engine.platform().host("b"),
+  engine.spawn("recv", engine.platform().host_at(1),
                [&pong](Context& ctx) { return ponger(ctx, pong); });
-  engine.spawn("send", engine.platform().host("a"),
+  engine.spawn("send", engine.platform().host_at(0),
                [&ping](Context& ctx) { return pinger(ctx, ping); });
   engine.run();
   EXPECT_DOUBLE_EQ(pong.received_at, 1.5);
@@ -105,12 +104,12 @@ TEST(Mailbox, TransferTimeIncludesBandwidth) {
 
 TEST(Mailbox, AsyncPutDoesNotBlockSender) {
   Engine engine(two_hosts(0.5));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   PingState ping{&box, 7, 0, -1.0};
   PongState pong{&box, 0, -1.0};
-  engine.spawn("recv", engine.platform().host("b"),
+  engine.spawn("recv", engine.platform().host_at(1),
                [&pong](Context& ctx) { return ponger(ctx, pong); });
-  engine.spawn("send", engine.platform().host("a"),
+  engine.spawn("send", engine.platform().host_at(0),
                [&ping](Context& ctx) { return async_pinger(ctx, ping); });
   engine.run();
   EXPECT_DOUBLE_EQ(ping.sent_done_at, 0.0);  // sender returned immediately
@@ -119,12 +118,12 @@ TEST(Mailbox, AsyncPutDoesNotBlockSender) {
 
 TEST(Mailbox, BlockingSendAccountsCommunicating) {
   Engine engine(two_hosts(0.5));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   PingState ping{&box, 7, 0, -1.0};
   PongState pong{&box, 0, -1.0};
-  engine.spawn("recv", engine.platform().host("b"),
+  engine.spawn("recv", engine.platform().host_at(1),
                [&pong](Context& ctx) { return ponger(ctx, pong); });
-  engine.spawn("send", engine.platform().host("a"),
+  engine.spawn("send", engine.platform().host_at(0),
                [&ping](Context& ctx) { return pinger(ctx, ping); });
   engine.run();
   const auto acc = engine.accounting();
@@ -134,11 +133,11 @@ TEST(Mailbox, BlockingSendAccountsCommunicating) {
 
 TEST(Mailbox, QueuedMessageReceivedWithoutWaiting) {
   Engine engine(two_hosts(0.0));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   // Message injected before the receiver even starts.
   box.put_delayed(99, 0.0);
   PongState pong{&box, 0, -1.0};
-  engine.spawn("recv", engine.platform().host("b"),
+  engine.spawn("recv", engine.platform().host_at(1),
                [&pong](Context& ctx) { return ponger(ctx, pong); });
   engine.run();
   EXPECT_EQ(pong.received, 99);
@@ -148,12 +147,12 @@ TEST(Mailbox, QueuedMessageReceivedWithoutWaiting) {
 
 TEST(Mailbox, DeliveryOrderFollowsVisibleTimeNotPostOrder) {
   Engine engine(two_hosts(0.0));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   MultiSendState send{&box, {{1, 3.0}, {2, 1.0}, {3, 2.0}}};  // posted 1,2,3
   MultiRecvState recv{&box, 3, {}};
-  engine.spawn("recv", engine.platform().host("b"),
+  engine.spawn("recv", engine.platform().host_at(1),
                [&recv](Context& ctx) { return multi_receiver(ctx, recv); });
-  engine.spawn("send", engine.platform().host("a"),
+  engine.spawn("send", engine.platform().host_at(0),
                [&send](Context& ctx) { return multi_sender(ctx, send); });
   engine.run();
   EXPECT_EQ(recv.received, (std::vector<int>{2, 3, 1}));  // by arrival time
@@ -161,12 +160,12 @@ TEST(Mailbox, DeliveryOrderFollowsVisibleTimeNotPostOrder) {
 
 TEST(Mailbox, SameDelayPreservesPostOrder) {
   Engine engine(two_hosts(0.0));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   MultiSendState send{&box, {{10, 1.0}, {20, 1.0}, {30, 1.0}}};
   MultiRecvState recv{&box, 3, {}};
-  engine.spawn("recv", engine.platform().host("b"),
+  engine.spawn("recv", engine.platform().host_at(1),
                [&recv](Context& ctx) { return multi_receiver(ctx, recv); });
-  engine.spawn("send", engine.platform().host("a"),
+  engine.spawn("send", engine.platform().host_at(0),
                [&send](Context& ctx) { return multi_sender(ctx, send); });
   engine.run();
   EXPECT_EQ(recv.received, (std::vector<int>{10, 20, 30}));
@@ -174,14 +173,14 @@ TEST(Mailbox, SameDelayPreservesPostOrder) {
 
 TEST(Mailbox, MultipleWaitersWokenFifo) {
   Engine engine(two_hosts(0.0));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   PongState w1{&box, 0, -1.0}, w2{&box, 0, -1.0};
-  engine.spawn("w1", engine.platform().host("b"),
+  engine.spawn("w1", engine.platform().host_at(1),
                [&w1](Context& ctx) { return ponger(ctx, w1); });
-  engine.spawn("w2", engine.platform().host("b"),
+  engine.spawn("w2", engine.platform().host_at(1),
                [&w2](Context& ctx) { return ponger(ctx, w2); });
   MultiSendState send{&box, {{111, 1.0}, {222, 2.0}}};
-  engine.spawn("send", engine.platform().host("a"),
+  engine.spawn("send", engine.platform().host_at(0),
                [&send](Context& ctx) { return multi_sender(ctx, send); });
   engine.run();
   EXPECT_EQ(w1.received, 111);  // first waiter gets first message
@@ -192,7 +191,7 @@ TEST(Mailbox, MultipleWaitersWokenFifo) {
 
 TEST(Mailbox, CountsTrackReadyAndInFlight) {
   Engine engine(two_hosts(0.0));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   box.put_delayed(1, 5.0);
   EXPECT_EQ(box.in_flight_count(), 1u);
   EXPECT_EQ(box.ready_count(), 0u);
@@ -203,13 +202,13 @@ TEST(Mailbox, CountsTrackReadyAndInFlight) {
 
 TEST(Mailbox, NegativeDelayRejected) {
   Engine engine(two_hosts(0.0));
-  Mailbox<int> box(engine, "b", engine.platform().host("b"));
+  Mailbox<int> box(engine, "b", engine.platform().host_at(1));
   EXPECT_THROW(box.put_delayed(1, -0.1), std::invalid_argument);
 }
 
 TEST(Mailbox, MovesLargePayloadsByValueType) {
   Engine engine(two_hosts(0.0));
-  Mailbox<std::string> box(engine, "b", engine.platform().host("b"));
+  Mailbox<std::string> box(engine, "b", engine.platform().host_at(1));
   box.put_delayed(std::string(1000, 'x'), 0.0);
   struct St {
     Mailbox<std::string>* box;
@@ -218,7 +217,7 @@ TEST(Mailbox, MovesLargePayloadsByValueType) {
   struct Body {
     static simx::Actor recv_one(Context& ctx, St& s) { s.got = co_await s.box->recv(ctx); }
   };
-  engine.spawn("r", engine.platform().host("b"),
+  engine.spawn("r", engine.platform().host_at(1),
                [&st](Context& ctx) { return Body::recv_one(ctx, st); });
   engine.run();
   EXPECT_EQ(st.got.size(), 1000u);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "simx/platform.hpp"
 
 namespace {
@@ -60,69 +63,83 @@ TEST(SpeedProfile, ValidatesInvariants) {
   EXPECT_NO_THROW((SpeedProfile{{0.0, 1.0}, {1e9, 0.0}}.validate()));
 }
 
-TEST(Platform, RouteCostIsLatencyPlusTransfer) {
+TEST(Platform, HostsAreAddressedByIndex) {
   Platform p;
-  p.add_host("a", 1e9);
-  p.add_host("b", 1e9);
-  p.add_link("l", /*bandwidth=*/1e6, /*latency=*/0.001);
-  p.add_route("a", "b", {"l"});
-  // 1000 bytes at 1e6 B/s = 1 ms, plus 1 ms latency.
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host("a"), p.host("b"), 1000), 0.002);
-  // Symmetric.
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host("b"), p.host("a"), 1000), 0.002);
+  const Host& a = p.add_host("a", 1e9);
+  const Host& b = p.add_host("b", 5e8);
+  EXPECT_EQ(p.host_count(), 2u);
+  EXPECT_EQ(a.index(), 0u);
+  EXPECT_EQ(b.index(), 1u);
+  EXPECT_EQ(&p.host_at(1), &b);
+  EXPECT_DOUBLE_EQ(p.host_at(1).speed(), 5e8);
+  EXPECT_THROW((void)p.host_at(2), std::out_of_range);
 }
 
-TEST(Platform, MultiLinkRouteSumsLatencyMinsBandwidth) {
+TEST(Platform, RouteCostIsLatencyPlusTransfer) {
   Platform p;
-  p.add_host("a", 1e9);
-  p.add_host("b", 1e9);
-  p.add_link("l1", 1e6, 0.001);
-  p.add_link("l2", 5e5, 0.002);
-  p.add_route("a", "b", {"l1", "l2"});
-  // latency 3 ms; bottleneck bandwidth 5e5 -> 1000 B = 2 ms.
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host("a"), p.host("b"), 1000), 0.005);
+  const Host& a = p.add_host("a", 1e9);
+  const Host& b = p.add_host("b", 1e9);
+  p.add_route(a, b, /*bandwidth=*/1e6, /*latency=*/0.001);
+  // 1000 bytes at 1e6 B/s = 1 ms, plus 1 ms latency.
+  EXPECT_DOUBLE_EQ(p.comm_time(a, b, 1000), 0.002);
+  // Symmetric.
+  EXPECT_DOUBLE_EQ(p.comm_time(b, a, 1000), 0.002);
+  // Re-registering the pair (either way round) overwrites the route:
+  // 2 ms latency plus 1000 B at 5e5 B/s.
+  p.add_route(b, a, 5e5, 0.002);
+  EXPECT_DOUBLE_EQ(p.comm_time(a, b, 1000), 0.004);
+}
+
+TEST(Platform, StarRoutesReachEveryLeaf) {
+  // mw's topology: a hub registered before its leaves, and a leaf
+  // registered before the hub (the hub's row grows on both sides).
+  Platform p;
+  const Host& early = p.add_host("early", 1e9);
+  const Host& hub = p.add_host("hub", 1e9);
+  std::vector<const Host*> leaves;
+  for (int i = 0; i < 4; ++i) leaves.push_back(&p.add_host("leaf", 1e9));
+  p.add_route(hub, *leaves[2], 1e9, 3e-6);
+  p.add_route(hub, *leaves[0], 1e9, 1e-6);
+  p.add_route(hub, *leaves[3], 1e9, 4e-6);
+  p.add_route(early, hub, 1e9, 5e-6);
+  EXPECT_DOUBLE_EQ(p.comm_time(hub, *leaves[0], 0), 1e-6);
+  EXPECT_DOUBLE_EQ(p.comm_time(*leaves[2], hub, 0), 3e-6);
+  EXPECT_DOUBLE_EQ(p.comm_time(hub, *leaves[3], 0), 4e-6);
+  EXPECT_DOUBLE_EQ(p.comm_time(hub, early, 0), 5e-6);
+  EXPECT_THROW((void)p.comm_time(hub, *leaves[1], 0), std::runtime_error);
+  EXPECT_THROW((void)p.comm_time(*leaves[0], *leaves[2], 0), std::runtime_error);
 }
 
 TEST(Platform, SameHostIsFree) {
   Platform p;
-  p.add_host("a", 1e9);
-  EXPECT_DOUBLE_EQ(p.comm_time(p.host("a"), p.host("a"), 1 << 20), 0.0);
+  const Host& a = p.add_host("a", 1e9);
+  EXPECT_DOUBLE_EQ(p.comm_time(a, a, 1 << 20), 0.0);
 }
 
 TEST(Platform, MissingRouteThrows) {
   Platform p;
-  p.add_host("a", 1e9);
-  p.add_host("b", 1e9);
-  EXPECT_THROW((void)p.comm_time(p.host("a"), p.host("b"), 1), std::runtime_error);
+  const Host& a = p.add_host("a", 1e9);
+  const Host& b = p.add_host("b", 1e9);
+  EXPECT_THROW((void)p.comm_time(a, b, 1), std::runtime_error);
 }
 
-TEST(Platform, DuplicateNamesRejected) {
+TEST(Platform, RejectsInvalidLinkParameters) {
   Platform p;
-  p.add_host("a", 1e9);
-  EXPECT_THROW(p.add_host("a", 1e9), std::invalid_argument);
-  p.add_link("l", 1e6, 0.0);
-  EXPECT_THROW(p.add_link("l", 1e6, 0.0), std::invalid_argument);
+  const Host& a = p.add_host("a", 1e9);
+  const Host& b = p.add_host("b", 1e9);
+  EXPECT_THROW(p.add_route(a, b, 0.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(p.add_route(a, b, -1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(p.add_route(a, b, 1e6, -1e-6), std::invalid_argument);
+  EXPECT_THROW((void)p.comm_time(a, b, 1), std::runtime_error);  // nothing registered
 }
 
-TEST(Platform, UnknownLookupsThrow) {
+TEST(Platform, NearNullNetworkIsEffectivelyFree) {
+  // The BOLD study's "very high bandwidth, very low latency" regime.
   Platform p;
-  EXPECT_THROW((void)p.host("ghost"), std::invalid_argument);
-  EXPECT_THROW((void)p.link("ghost"), std::invalid_argument);
-  EXPECT_THROW(p.add_route("x", "y", {"l"}), std::invalid_argument);
-}
-
-TEST(Platform, StarBuilderShape) {
-  const Platform p = simx::make_star_platform(4, 1e9, 1e9, 1e-6);
-  EXPECT_EQ(p.host_count(), 5u);
-  EXPECT_EQ(p.link_count(), 4u);
-  const Platform& cp = p;
-  EXPECT_DOUBLE_EQ(cp.comm_time(cp.host("master"), cp.host("w3"), 0), 1e-6);
-}
-
-TEST(Platform, NullNetworkIsEffectivelyFree) {
-  const Platform p = simx::make_null_network_platform(2);
-  const double cost = p.comm_time(p.host("master"), p.host("w0"), 1 << 20);
-  EXPECT_LT(cost, 1e-9);  // far below any task-time scale
+  const Host& master = p.add_host("master", 1e9);
+  const Host& worker = p.add_host("w0", 1e9);
+  p.add_route(master, worker, /*bandwidth=*/1e21, /*latency=*/1e-12);
+  EXPECT_LT(p.comm_time(master, worker, 1 << 20), 1e-9);  // far below any task-time scale
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "support/flags.hpp"
 
 namespace {
@@ -66,7 +69,40 @@ TEST(Flags, IntListParses) {
   Flags flags = make_flags();
   const auto args = argv_of({"prog", "--pes=2,4,1024"});
   flags.parse(static_cast<int>(args.size()), args.data());
-  EXPECT_EQ(flags.get_int_list("pes"), (std::vector<std::int64_t>{2, 4, 1024}));
+  EXPECT_EQ(flags.get_count_list("pes"), (std::vector<std::size_t>{2, 4, 1024}));
+}
+
+TEST(Flags, CountListRejectsNegativeAndMalformedItems) {
+  for (const char* bad : {"--pes=2,-8", "--pes=2,8x", "--pes=-1"}) {
+    Flags flags = make_flags();
+    const auto args = argv_of({"prog", bad});
+    flags.parse(static_cast<int>(args.size()), args.data());
+    EXPECT_THROW((void)flags.get_count_list("pes"), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Flags, CountsRejectNegativeAndOutOfRangeValues) {
+  const auto parsed = [](const char* arg) {
+    Flags flags = make_flags();
+    const auto args = argv_of({"prog", arg});
+    flags.parse(static_cast<int>(args.size()), args.data());
+    return flags;
+  };
+  EXPECT_EQ(parsed("--runs=0").get_count<std::size_t>("runs"), 0u);
+  EXPECT_EQ(parsed("--runs=4294967295").get_count<unsigned>("runs"), 4294967295u);
+  EXPECT_EQ(parsed("--runs=9223372036854775807").get_count<std::uint64_t>("runs"),
+            9223372036854775807u);
+  // A cast would wrap these into huge worker/thread counts.
+  EXPECT_THROW((void)parsed("--runs=-1").get_count<std::size_t>("runs"), std::invalid_argument);
+  EXPECT_THROW((void)parsed("--runs=-1").get_count<unsigned>("runs"), std::invalid_argument);
+  EXPECT_THROW((void)parsed("--runs=-9223372036854775808").get_count<std::size_t>("runs"),
+               std::invalid_argument);
+  // Too large for the target type.
+  EXPECT_THROW((void)parsed("--runs=4294967296").get_count<unsigned>("runs"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parsed("--runs=2147483648").get_count<int>("runs"), std::invalid_argument);
+  // Still an integer parse first.
+  EXPECT_THROW((void)parsed("--runs=3x").get_count<std::size_t>("runs"), std::invalid_argument);
 }
 
 TEST(Flags, UnknownFlagThrows) {

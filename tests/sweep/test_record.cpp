@@ -20,7 +20,7 @@ std::string record_of(const sweep::Grid& grid, std::size_t index) {
   const sweep::Cell c = sweep::cell(grid, index);
   const exec::BatchJob job = sweep::batch_job(grid, c);
   const exec::BatchResult result = exec::BatchRunner().run_one(job);
-  return sweep::render_record(grid, c, job, result);
+  return sweep::RecordRenderer(grid).render(c, job, result);
 }
 
 sweep::RecordKey key(std::size_t cell, const char* backend = "mw") {
@@ -47,10 +47,10 @@ TEST(SweepRecord, RenderIsDeterministicAndSelfDescribing) {
   EXPECT_NE(a.find("\"ci95_hi\":"), std::string::npos);
 }
 
-TEST(SweepRecord, RendererMatchesTheFreeFunctionAndTheValidationPath) {
+TEST(SweepRecord, RendererMatchesTheValidationPath) {
   // RecordRenderer builds the experiment echo from the cell and job in
   // hand instead of re-expanding the cell; its bytes must stay
-  // identical to render_record AND to cell_experiment_text (what
+  // identical to a fresh renderer's AND to cell_experiment_text (what
   // validate_records_for_grid compares resumed records against).
   const sweep::Grid grid = small_grid();
   const sweep::RecordRenderer renderer(grid);
@@ -59,7 +59,7 @@ TEST(SweepRecord, RendererMatchesTheFreeFunctionAndTheValidationPath) {
     const exec::BatchJob job = sweep::batch_job(grid, c);
     const exec::BatchResult result = exec::BatchRunner().run_one(job);
     const std::string line = renderer.render(c, job, result);
-    EXPECT_EQ(line, sweep::render_record(grid, c, job, result));
+    EXPECT_EQ(line, record_of(grid, index));
     EXPECT_EQ(sweep::record_experiment(line), sweep::cell_experiment_text(grid, index));
     EXPECT_NO_THROW(sweep::validate_records_for_grid(grid, {line}));
   }

@@ -243,6 +243,30 @@ TEST(SweepTool, ResumeAfterTornTailMatchesUninterruptedByteForByte) {
   EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }
 
+TEST(SweepTool, MalformedShardAndCountFlagsAreUsageErrors) {
+  // "1x/4" is a typo, not shard 1/4; a negative count must not wrap to
+  // a huge unsigned one.  Both exit 2 before any cell runs.
+  std::string tmpl = "/tmp/dls_sweep_tool_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  const std::string spec = dir + "/grid.sweep";
+  {
+    std::ofstream out(spec);
+    out << "workload constant:1.0\ntasks 16\nworkers 2\nh 0.5\nreplicas 1\n"
+           "sweep technique SS GSS\n";
+  }
+  const std::string out = dir + "/out.jsonl";
+  for (const char* shard : {"1x/4", "1/4x", "/4", "1/", "-1/4", "1/+4", "0x1/4"}) {
+    EXPECT_EQ(run_tool(spec + " --out " + out + " --quiet --shard " + shard), 2) << shard;
+  }
+  EXPECT_EQ(run_tool(spec + " --out " + out + " --quiet --max-cells -1"), 2);
+  EXPECT_FALSE(std::ifstream(out).good());
+  ASSERT_EQ(run_tool(spec + " --out " + out + " --quiet --shard 1/2"), 0);
+  EXPECT_EQ(lines_of(read_file(out)).size(), 1u);
+
+  EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+}
+
 TEST(SweepRunner, RejectsBadShardOptions) {
   sweep::SweepRunner::Options options;
   options.shard_count = 0;

@@ -204,14 +204,14 @@ int main(int argc, char** argv) {
     if (!flags.positional().empty()) {
       throw std::invalid_argument("unexpected positional argument: " + flags.positional().front());
     }
-    options.runs = static_cast<std::size_t>(flags.get_int("runs"));
+    options.runs = flags.get_count<std::size_t>("runs");
     options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    options.scenario.max_tasks = static_cast<std::size_t>(flags.get_int("max-tasks"));
-    options.scenario.max_workers = static_cast<std::size_t>(flags.get_int("max-workers"));
+    options.scenario.max_tasks = flags.get_count<std::size_t>("max-tasks");
+    options.scenario.max_workers = flags.get_count<std::size_t>("max-workers");
     options.minimize = !flags.get_bool("no-minimize");
     options.check_runtime = !flags.get_bool("no-runtime");
-    options.expensive_stride = static_cast<std::size_t>(flags.get_int("stride"));
-    options.threads = static_cast<unsigned>(flags.get_int("threads"));
+    options.expensive_stride = flags.get_count<std::size_t>("stride");
+    options.threads = flags.get_count<unsigned>("threads");
     if (options.runs == 0 || options.scenario.max_tasks == 0 ||
         options.scenario.max_workers == 0) {
       throw std::invalid_argument("--runs, --max-tasks and --max-workers must be >= 1");

@@ -42,13 +42,13 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("unexpected positional argument: " +
                                   flags.positional().front());
     }
-    params.n = static_cast<std::size_t>(flags.get_int("tasks"));
-    params.p = static_cast<std::size_t>(flags.get_int("pes"));
+    params.n = flags.get_count<std::size_t>("tasks");
+    params.p = flags.get_count<std::size_t>("pes");
     params.h = flags.get_double("h");
     params.mu = flags.get_double("mu");
     params.sigma = flags.get_double("sigma");
-    params.css_chunk = static_cast<std::size_t>(flags.get_int("css-chunk"));
-    params.gss_min_chunk = static_cast<std::size_t>(flags.get_int("gss-min"));
+    params.css_chunk = flags.get_count<std::size_t>("css-chunk");
+    params.gss_min_chunk = flags.get_count<std::size_t>("gss-min");
     technique_name = flags.get("technique");
     (void)dls::kind_from_string(technique_name);  // typo'd names are usage errors
     per_pe = flags.get_bool("per-pe");

@@ -40,6 +40,7 @@
 // usage error (parse errors name the offending line).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <map>
 #include <cstdio>
@@ -49,6 +50,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/stat.h>
@@ -98,11 +100,16 @@ std::string read_input(const std::string& path) {
 
 void parse_shard(const std::string& text, sweep::SweepRunner::Options& options) {
   const auto slash = text.find('/');
-  if (slash == std::string::npos) {
+  // Each side must be all digits: "1x/4" is a typo, not shard 1/4.
+  const auto parse_side = [&](std::string_view side, std::size_t& out) {
+    const auto [end, ec] = std::from_chars(side.data(), side.data() + side.size(), out);
+    return ec == std::errc{} && end == side.data() + side.size();
+  };
+  const std::string_view view = text;
+  if (slash == std::string::npos || !parse_side(view.substr(0, slash), options.shard_index) ||
+      !parse_side(view.substr(slash + 1), options.shard_count)) {
     throw std::invalid_argument("--shard must be <index>/<count>, e.g. 0/4; got: " + text);
   }
-  options.shard_index = static_cast<std::size_t>(std::stoull(text.substr(0, slash)));
-  options.shard_count = static_cast<std::size_t>(std::stoull(text.substr(slash + 1)));
   if (options.shard_count == 0 || options.shard_index >= options.shard_count) {
     throw std::invalid_argument("--shard index out of range: " + text);
   }
@@ -125,9 +132,9 @@ int run_mode(const support::Flags& flags) {
   }
 
   sweep::SweepRunner::Options options;
-  options.threads = static_cast<unsigned>(flags.get_int("threads"));
-  options.max_cells = static_cast<std::size_t>(flags.get_int("max-cells"));
   try {
+    options.threads = flags.get_count<unsigned>("threads");
+    options.max_cells = flags.get_count<std::size_t>("max-cells");
     parse_shard(flags.get("shard"), options);
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep: " << e.what() << "\n";
@@ -383,18 +390,18 @@ int coordinate_mode(int argc, char** argv, bool serve) {
       options.accept_grace = std::chrono::milliseconds(flags.get_int("accept-grace-ms"));
       port_file = flags.get("port-file");
     }
-    options.workers = static_cast<std::size_t>(flags.get_int("workers"));
+    options.workers = flags.get_count<std::size_t>("workers");
     if (options.workers == 0) throw std::invalid_argument("--workers must be >= 1");
-    options.stripes = static_cast<std::size_t>(flags.get_int("stripes"));
-    options.worker_threads = static_cast<unsigned>(flags.get_int("threads"));
+    options.stripes = flags.get_count<std::size_t>("stripes");
+    options.worker_threads = flags.get_count<unsigned>("threads");
     options.heartbeat_interval = std::chrono::milliseconds(flags.get_int("heartbeat-ms"));
     options.lease_deadline = std::chrono::milliseconds(flags.get_int("deadline-ms"));
-    options.max_attempts = static_cast<std::size_t>(flags.get_int("max-attempts"));
+    options.max_attempts = flags.get_count<std::size_t>("max-attempts");
     if (options.max_attempts == 0) throw std::invalid_argument("--max-attempts must be >= 1");
     options.backoff_base = std::chrono::milliseconds(flags.get_int("backoff-ms"));
     options.backoff_cap = std::chrono::milliseconds(flags.get_int("backoff-cap-ms"));
     const std::string chaos_list = flags.get("chaos");
-    const auto chaos_kills = static_cast<std::size_t>(flags.get_int("chaos-kills"));
+    const auto chaos_kills = flags.get_count<std::size_t>("chaos-kills");
     if (serve && (!chaos_list.empty() || chaos_kills > 0)) {
       // Serve mode never spawns, so directives keyed by worker index
       // would silently do nothing; chaos rides the workers' own
@@ -514,13 +521,13 @@ int work_mode(int argc, char** argv) {
     }
     options.workdir = flags.get("dir");
     if (options.workdir.empty()) throw std::invalid_argument("work needs --dir");
-    options.threads = static_cast<unsigned>(flags.get_int("threads"));
+    options.threads = flags.get_count<unsigned>("threads");
     options.heartbeat_interval = std::chrono::milliseconds(flags.get_int("heartbeat-ms"));
     options.token = flags.get("token");
     options.idle_timeout = std::chrono::milliseconds(flags.get_int("idle-ms"));
-    options.connect_attempts = static_cast<std::size_t>(flags.get_int("connect-attempts"));
+    options.connect_attempts = flags.get_count<std::size_t>("connect-attempts");
     options.connect_backoff = std::chrono::milliseconds(flags.get_int("connect-backoff-ms"));
-    if (const auto after = static_cast<std::size_t>(flags.get_int("chaos-after")); after > 0) {
+    if (const auto after = flags.get_count<std::size_t>("chaos-after"); after > 0) {
       options.chaos =
           dist::ChaosKill{0, after, dist::parse_chaos_mode(flags.get("chaos-mode"))};
     }
