@@ -54,7 +54,7 @@ struct ScenarioOptions {
 void classify(Scenario& scenario);
 
 /// The scenario as a replayable experiment file (repro format): feed it
-/// to `dls_sim` or repro::parse_experiment_spec to reproduce the run.
+/// to `dls_sweep -` or repro::parse_experiment_spec to reproduce the run.
 [[nodiscard]] std::string to_experiment_text(const Scenario& scenario);
 
 }  // namespace check

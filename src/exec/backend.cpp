@@ -321,8 +321,8 @@ std::unique_ptr<Backend> make_backend(std::string_view name, const BackendOption
                               ")");
 }
 
-bool backend_is_virtual(std::string_view name, const BackendOptions& options) {
-  return make_backend(name, options)->virtual_time();
+bool backend_is_virtual(std::string_view name) {
+  return make_backend(name)->virtual_time();
 }
 
 }  // namespace exec

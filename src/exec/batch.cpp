@@ -38,7 +38,7 @@ Backend& BatchRunner::slot_backend(unsigned slot, const std::string& name) const
   auto& cache = slots_[slot].backends;
   const auto it = cache.find(name);
   if (it != cache.end()) return *it->second;
-  return *cache.emplace(name, make_backend(name, options_.backend)).first->second;
+  return *cache.emplace(name, make_backend(name)).first->second;
 }
 
 std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
@@ -111,7 +111,7 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
   const std::size_t total = offsets.back();
 
   // Size the pool -- and the per-slot caches -- only for what this
-  // batch can actually use: min(threads, claimable grains).  A
+  // batch can actually use: min(threads, replica units).  A
   // run_one() on a big machine must not spawn (and park forever) a
   // full-width worker set for a region that will run inline; the lazy
   // pool stays lazy for small batches.  The caches must cover every
@@ -119,10 +119,7 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
   // per region) and are sized BEFORE the region, with slots_.size()
   // passed as the region's slot cap; existing entries -- and their
   // cached engines and draw buffers -- survive across run() calls.
-  const std::size_t grain = std::max<std::size_t>(options_.grain, 1);
-  const std::size_t grains = (total + grain - 1) / grain;
-  const unsigned region_threads =
-      static_cast<unsigned>(std::min<std::size_t>(threads, grains));
+  const unsigned region_threads = static_cast<unsigned>(std::min<std::size_t>(threads, total));
   executor.reserve(region_threads);
   if (slots_.size() < executor.slot_count()) slots_.resize(executor.slot_count());
 
@@ -200,7 +197,7 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
                      .measure_on_draw(replica_config(j, replica), draw, *rest));
         }
       },
-      threads, options_.grain,
+      threads, /*grain=*/1,
       // Cap the region at the slots the caches cover: another thread
       // may grow the pool between the resize above and this region.
       static_cast<unsigned>(slots_.size()));

@@ -131,6 +131,6 @@ struct BackendOptions {
 /// and sweep::SweepRunner (which segments its worklist at wall-clock
 /// cells) key off -- they must never diverge, or the sweep's in-order
 /// committer stalls buffering behind a job the batch deferred.
-[[nodiscard]] bool backend_is_virtual(std::string_view name, const BackendOptions& options = {});
+[[nodiscard]] bool backend_is_virtual(std::string_view name);
 
 }  // namespace exec

@@ -78,9 +78,7 @@ class BatchRunner {
  public:
   struct Options {
     unsigned threads = 0;      ///< 0 = the executor's width
-    std::size_t grain = 1;     ///< replicas claimed per atomic grab
     bool keep_values = false;  ///< retain per-replica series in the results
-    BackendOptions backend;    ///< backend construction knobs
     /// Externally-owned executor to run on (must outlive the runner);
     /// nullptr = pool::Executor::shared().
     pool::Executor* executor = nullptr;

@@ -4,14 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "exec/backend.hpp"
-#include "exec/batch.hpp"
-#include "mw/metrics.hpp"
-#include "mw/simulation.hpp"
 #include "support/table.hpp"
 #include "workload/task_times.hpp"
 
@@ -46,32 +42,33 @@ double to_double(const std::string& v, LineRef line) {
   }
 }
 
-std::size_t to_size(const std::string& v, LineRef line) {
-  const double d = to_double(v, line);
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
-    parse_error(line, "expected a non-negative integer: " + v);
-  }
-  return static_cast<std::size_t>(d);
-}
-
-/// Exact 64-bit unsigned parse for seeds: the double path of to_size
-/// would silently round values above 2^53, and grid records carry full
-/// 64-bit derived seeds that must replay bit-exactly.  Falls back to
-/// the double path for scientific notation ("1e6"), which is exact in
-/// the range it accepts.
-std::uint64_t to_uint64(const std::string& v, LineRef line) {
+/// Exact parse for every count key: a full-match from_chars, so values
+/// above 2^53 never round through a double (grid records carry full
+/// 64-bit derived seeds that must replay bit-exactly).  Scientific
+/// notation ("1e6") falls back to the double path, which it accepts
+/// only for integral values below 2^53, where no other integer rounds
+/// onto the same double.  A value above numeric_limits<T>::max() is
+/// rejected, never wrapped.
+template <typename T>
+T to_count(const std::string& v, LineRef line) {
   std::uint64_t out = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec == std::errc{} && ptr == v.data() + v.size()) return out;
-  if (ec == std::errc::result_out_of_range) {
-    parse_error(line, "number out of range of uint64: " + v);
+  const bool overflow = ec == std::errc::result_out_of_range;
+  if (!overflow && (ec != std::errc{} || ptr != v.data() + v.size())) {
+    const double d = to_double(v, line);
+    if (!(d >= 0.0) || d != std::floor(d)) {
+      parse_error(line, "expected a non-negative integer: " + v);
+    }
+    if (d >= 9007199254740992.0 /* 2^53 */) {
+      parse_error(line, "number out of range of exact notation (below 2^53): " + v);
+    }
+    out = static_cast<std::uint64_t>(d);
   }
-  const double d = to_double(v, line);
-  if (d < 0.0 || d > 9007199254740992.0 /* 2^53 */ ||
-      d != static_cast<double>(static_cast<std::uint64_t>(d))) {
-    parse_error(line, "expected a non-negative integer: " + v);
+  if (overflow || out > std::numeric_limits<T>::max()) {
+    parse_error(line, "number out of range (max " +
+                          std::to_string(std::numeric_limits<T>::max()) + "): " + v);
   }
-  return static_cast<std::uint64_t>(d);
+  return static_cast<T>(out);
 }
 
 bool to_bool(const std::string& v, LineRef line) {
@@ -155,9 +152,9 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
         parse_error(line, e.what());
       }
     } else if (key == "tasks") {
-      cfg.tasks = to_size(value, line);
+      cfg.tasks = to_count<std::size_t>(value, line);
     } else if (key == "workers") {
-      cfg.workers = to_size(value, line);
+      cfg.workers = to_count<std::size_t>(value, line);
     } else if (key == "workload") {
       try {
         cfg.workload = workload::from_spec(value);
@@ -173,9 +170,9 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       cfg.params.sigma = to_double(value, line);
       have_sigma = true;
     } else if (key == "timesteps") {
-      cfg.timesteps = to_size(value, line);
+      cfg.timesteps = to_count<std::size_t>(value, line);
     } else if (key == "seed") {
-      cfg.seed = to_uint64(value, line);
+      cfg.seed = to_count<std::uint64_t>(value, line);
     } else if (key == "overhead") {
       if (value == "analytic") cfg.overhead_mode = mw::OverheadMode::kAnalytic;
       else if (value == "simulated") cfg.overhead_mode = mw::OverheadMode::kSimulated;
@@ -185,18 +182,18 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
     } else if (key == "bandwidth") {
       cfg.bandwidth = to_double(value, line);
     } else if (key == "css_chunk") {
-      cfg.params.css_chunk = to_size(value, line);
+      cfg.params.css_chunk = to_count<std::size_t>(value, line);
     } else if (key == "gss_min") {
-      cfg.params.gss_min_chunk = to_size(value, line);
+      cfg.params.gss_min_chunk = to_count<std::size_t>(value, line);
     } else if (key == "rand48") {
       cfg.use_rand48 = to_bool(value, line);
     } else if (key == "host_speed") {
       cfg.host_speed = to_double(value, line);
       if (!(cfg.host_speed > 0.0)) parse_error(line, "host_speed must be > 0");
     } else if (key == "request_bytes") {
-      cfg.request_bytes = to_size(value, line);
+      cfg.request_bytes = to_count<std::size_t>(value, line);
     } else if (key == "reply_bytes") {
-      cfg.reply_bytes = to_size(value, line);
+      cfg.reply_bytes = to_count<std::size_t>(value, line);
     } else if (key == "speeds") {
       cfg.worker_speed_factors = to_double_list(value, line);
     } else if (key == "weights") {
@@ -214,13 +211,13 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
       profiles[index] = to_profile(value, line);
       profile_lines[index] = line_no;
     } else if (key == "replicas") {
-      spec.replicas = to_size(value, line);
+      spec.replicas = to_count<std::size_t>(value, line);
       if (spec.replicas == 0) parse_error(line, "replicas must be >= 1");
     } else if (key == "seed_stride") {
-      spec.seed_stride = to_uint64(value, line);
+      spec.seed_stride = to_count<std::uint64_t>(value, line);
       if (spec.seed_stride == 0) parse_error(line, "seed_stride must be >= 1");
     } else if (key == "threads") {
-      spec.threads = static_cast<unsigned>(to_size(value, line));
+      spec.threads = to_count<unsigned>(value, line);
     } else if (key == "backend") {
       if (!exec::is_backend_name(value)) {
         std::string known;
@@ -339,87 +336,6 @@ std::string serialize_experiment_spec(const ExperimentSpec& spec) {
   if (spec.threads != 0) emit("threads", std::to_string(spec.threads));
   if (spec.backend != "mw") emit("backend", spec.backend);
   return out.str();
-}
-
-namespace {
-
-void print_single_run(const ExperimentSpec& spec, std::ostream& out) {
-  const mw::Config& cfg = spec.config;
-  support::Table table({"measured value", "result"});
-  table.add_row({"technique", dls::to_string(cfg.technique)});
-  table.add_row({"tasks x timesteps", std::to_string(cfg.tasks) + " x " +
-                                          std::to_string(cfg.timesteps)});
-  table.add_row({"workers", std::to_string(cfg.workers)});
-  table.add_row({"workload", cfg.workload->name()});
-  if (spec.backend == "mw") {
-    const mw::RunResult result = mw::run_simulation(cfg);
-    const mw::Metrics metrics = mw::compute_metrics(result, cfg);
-    table.add_row({"makespan [s]", support::fmt(metrics.makespan, 4)});
-    table.add_row({"scheduling operations", std::to_string(metrics.chunks)});
-    table.add_row({"average wasted time [s]", support::fmt(metrics.avg_wasted_time, 4)});
-    table.add_row({"speedup", support::fmt(metrics.speedup, 3)});
-    table.add_row({"overhead degree", support::fmt(metrics.overhead_degree, 3)});
-    table.add_row({"imbalance degree", support::fmt(metrics.imbalance_degree, 3)});
-  } else {
-    // Non-reference vehicles report the uniform measured values only
-    // (the Tzen-Ni degree metrics are mw-specific).
-    const auto backend = exec::make_backend(spec.backend);
-    const exec::Measured m = backend->measure(cfg);
-    table.add_row({"backend", spec.backend});
-    table.add_row({"makespan [s]", support::fmt(m.makespan, 4)});
-    table.add_row({"scheduling operations", support::fmt(m.chunks, 0)});
-    table.add_row({"average wasted time [s]", support::fmt(m.avg_wasted_time, 4)});
-    table.add_row({"speedup", support::fmt(m.speedup, 3)});
-  }
-  table.print(out);
-}
-
-void print_replica_summary(const ExperimentSpec& spec, std::ostream& out) {
-  exec::BatchJob job;
-  job.config = spec.config;
-  job.replicas = spec.replicas;
-  job.seed_stride = spec.seed_stride;
-  job.backend = spec.backend;
-  exec::BatchRunner::Options options;
-  options.threads = spec.threads;
-  const exec::BatchResult r = exec::BatchRunner(options).run_one(job);
-
-  const mw::Config& cfg = spec.config;
-  out << "technique " << dls::to_string(cfg.technique) << ", " << cfg.tasks << " tasks x "
-      << cfg.timesteps << " timesteps, " << cfg.workers << " workers, "
-      << cfg.workload->name() << ", ";
-  if (spec.backend != "mw") out << spec.backend << " backend, ";
-  out << spec.replicas << " replicas (seeds " << cfg.seed;
-  if (spec.seed_stride == 1) {
-    out << ".." << cfg.seed + spec.replicas - 1;
-  } else {
-    out << " + " << spec.seed_stride << "*r";
-  }
-  out << ")\n";
-  support::Table table({"measured value", "mean", "stddev", "min", "max"});
-  auto row = [&](const char* name, const stats::Summary& s, int digits) {
-    table.add_row({name, support::fmt(s.mean, digits), support::fmt(s.stddev, digits),
-                   support::fmt(s.min, digits), support::fmt(s.max, digits)});
-  };
-  row("makespan [s]", r.makespan, 4);
-  row("average wasted time [s]", r.avg_wasted_time, 4);
-  row("speedup", r.speedup, 3);
-  row("scheduling operations", r.chunks, 1);
-  table.print(out);
-}
-
-}  // namespace
-
-void run_experiment(const ExperimentSpec& spec, std::ostream& out) {
-  if (spec.replicas <= 1) {
-    print_single_run(spec, out);
-  } else {
-    print_replica_summary(spec, out);
-  }
-}
-
-void run_experiment_file(std::string_view text, std::ostream& out) {
-  run_experiment(parse_experiment_spec(text), out);
 }
 
 }  // namespace repro

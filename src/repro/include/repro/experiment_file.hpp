@@ -1,11 +1,9 @@
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
 #include "mw/config.hpp"
-#include "mw/metrics.hpp"
 
 namespace repro {
 
@@ -38,8 +36,10 @@ namespace repro {
 /// A `sweep <key> <v1> <v2> ...` line is a grid directive, not an
 /// experiment key: sweep::parse_grid expands the cartesian product of
 /// all sweep lines into one experiment per cell (tools/dls_sweep).
-/// parse_experiment_spec rejects it with a pointer at dls_sweep so a
-/// grid spec fed to dls_sim fails loudly instead of dropping an axis.
+/// parse_experiment_spec rejects it with a pointer at `dls_sweep -`
+/// (which runs plain files and grids alike) so a grid spec handed to
+/// the single-experiment parser fails loudly instead of dropping an
+/// axis.
 ///
 /// System-information extensions (the heterogeneity/resilience side of
 /// the Config space; all optional):
@@ -82,16 +82,5 @@ struct ExperimentSpec {
 /// for specs the format cannot express (no workload, or a workload
 /// with no from_spec form).
 [[nodiscard]] std::string serialize_experiment_spec(const ExperimentSpec& spec);
-
-/// Run the experiment described by `text` on its declared backend and
-/// render the measured values (paper Figure 2: "Measured Value(s)") to
-/// `out`.  With replicas > 1 the runs are batched through
-/// exec::BatchRunner and the summary statistics of the measured values
-/// are rendered instead.
-void run_experiment_file(std::string_view text, std::ostream& out);
-
-/// Same, for an already-parsed spec (lets callers report parse errors
-/// and run errors distinctly).
-void run_experiment(const ExperimentSpec& spec, std::ostream& out);
 
 }  // namespace repro

@@ -111,8 +111,9 @@ struct Cell {
 /// *scientific* axis the cell's base seed is decorrelated through
 /// mw::derive_cell_seed (splitmix64 over the scientific cell index, so
 /// all backends of a cell share seeds); a plain experiment file without
-/// scientific sweep directives keeps its seed verbatim, so dls_sweep
-/// and dls_sim agree on single experiments.
+/// scientific sweep directives keeps its seed verbatim, so `dls_sweep -`
+/// runs a single experiment exactly as written, and a record's
+/// experiment echo replays that cell's measured values.
 [[nodiscard]] exec::BatchJob batch_job(const Grid& grid, const Cell& cell);
 
 }  // namespace sweep

@@ -40,7 +40,7 @@ struct RecordKey {
 /// top-level fields.  The "sweep" object carries the scientific axis
 /// assignment only.  `experiment` is the serialized cell spec with the
 /// derived seed (and the backend key) applied -- paste it into
-/// `dls_sim -` to replay the cell.  Each summary object carries
+/// `dls_sweep -` to replay the cell.  Each summary object carries
 /// count/mean/stddev/min/max/median/p5/p95/ci95_lo/ci95_hi/nan_count
 /// (stats::Summary).  All doubles use shortest round-trip formatting,
 /// so re-running a cell on a deterministic backend renders a

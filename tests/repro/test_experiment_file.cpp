@@ -91,24 +91,6 @@ TEST(ExperimentFile, RequiresMandatoryKeys) {
                std::invalid_argument);  // no workload
 }
 
-TEST(ExperimentFile, RunProducesMeasuredValues) {
-  std::ostringstream out;
-  repro::run_experiment_file(
-      "technique STAT\ntasks 100\nworkers 4\nworkload constant:1.0\nh 0.5\n", out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("makespan"), std::string::npos);
-  EXPECT_NE(text.find("25.0000"), std::string::npos);  // 100 x 1 s on 4 workers
-  EXPECT_NE(text.find("speedup"), std::string::npos);
-  EXPECT_NE(text.find("STAT"), std::string::npos);
-}
-
-TEST(ExperimentFile, DeterministicAcrossRuns) {
-  std::ostringstream a, b;
-  repro::run_experiment_file(kValid, a);
-  repro::run_experiment_file(kValid, b);
-  EXPECT_EQ(a.str(), b.str());
-}
-
 TEST(ExperimentFile, ParsesReplicasAndThreads) {
   const repro::ExperimentSpec spec = repro::parse_experiment_spec(
       "technique SS\ntasks 64\nworkers 2\nworkload constant:1.0\nreplicas 20\nthreads 2\n");
@@ -168,6 +150,54 @@ TEST(ExperimentFile, OutOfRangeNumberIsALineNumberedError) {
     EXPECT_NE(message.find("latency 1e999"), std::string::npos) << message;
     EXPECT_NE(message.find("out of range"), std::string::npos) << message;
   }
+}
+
+TEST(ExperimentFile, CountKeysParseExactlyAndRejectOutOfRangeValues) {
+  constexpr const char* kBase = "technique SS\ntasks 64\nworkers 2\nworkload constant:1.0\n";
+  auto message_of = [&](const std::string& line) {
+    try {
+      (void)repro::parse_experiment_spec(kBase + line + "\n");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  // Wider than the field: a 33-bit thread count must not wrap to 1.
+  const std::string threads = message_of("threads 4294967297");
+  EXPECT_NE(threads.find("line 5"), std::string::npos) << threads;
+  EXPECT_NE(threads.find("threads 4294967297"), std::string::npos) << threads;
+  EXPECT_NE(threads.find("out of range"), std::string::npos) << threads;
+  EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "threads 4294967295\n").threads,
+            4294967295u);
+  // Above 2^53 a double path would round ...993 to ...992; digits parse
+  // exactly.
+  EXPECT_EQ(repro::parse_experiment_spec(
+                "technique SS\ntasks 64\nworkers 9007199254740993\nworkload constant:1.0\n")
+                .config.workers,
+            9007199254740993u);
+  EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "request_bytes 9007199254740993\n")
+                .config.request_bytes,
+            9007199254740993u);
+  // Scientific notation is exact only below 2^53 (2^53 + 1 rounds onto
+  // 2^53); beyond it, and far beyond size_t where a cast from double is
+  // undefined, it is an error naming the line.
+  for (const char* line : {"tasks 1e30", "workers 9.007199254740993e15", "seed 1e20",
+                           "replicas 1e300", "css_chunk inf"}) {
+    const std::string message = message_of(line);
+    EXPECT_NE(message.find("line 5"), std::string::npos) << line << ": " << message;
+    EXPECT_NE(message.find(line), std::string::npos) << line << ": " << message;
+  }
+  EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "tasks 9.007199254740991e15\n")
+                .config.tasks,
+            9007199254740991u);
+  // Past uint64 in digits, negative, fractional and NaN values.
+  for (const char* line : {"seed 18446744073709551616", "seed_stride 99999999999999999999",
+                           "timesteps -1", "gss_min 2.5", "reply_bytes nan"}) {
+    EXPECT_NE(message_of(line).find("line 5"), std::string::npos) << line;
+  }
+  EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "seed 18446744073709551615\n")
+                .config.seed,
+            18446744073709551615ULL);
 }
 
 TEST(ExperimentFile, SweepLineIsRejectedWithGridHint) {
@@ -305,28 +335,6 @@ TEST(ExperimentFile, SerializeRejectsInexpressibleSpecs) {
   spec = repro::parse_experiment_spec("technique SS\ntasks 10\nworkers 2\nworkload constant:1\n");
   spec.config.workload = workload::trace({1.0, 2.0});
   EXPECT_THROW((void)repro::serialize_experiment_spec(spec), std::invalid_argument);
-}
-
-TEST(ExperimentFile, ReplicatedRunRendersSummaryStatistics) {
-  std::ostringstream out;
-  repro::run_experiment_file(
-      "technique FAC2\ntasks 256\nworkers 4\nworkload exponential:1.0\nh 0.5\nseed 5\n"
-      "replicas 8\nthreads 2\n",
-      out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("8 replicas"), std::string::npos);
-  EXPECT_NE(text.find("mean"), std::string::npos);
-  EXPECT_NE(text.find("stddev"), std::string::npos);
-  EXPECT_NE(text.find("makespan"), std::string::npos);
-
-  // Deterministic regardless of thread count (threads only appear in
-  // the input, not the rendered output).
-  std::ostringstream single;
-  repro::run_experiment_file(
-      "technique FAC2\ntasks 256\nworkers 4\nworkload exponential:1.0\nh 0.5\nseed 5\n"
-      "replicas 8\nthreads 1\n",
-      single);
-  EXPECT_EQ(single.str(), text);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -263,6 +264,76 @@ TEST(SweepTool, MalformedShardAndCountFlagsAreUsageErrors) {
   EXPECT_FALSE(std::ifstream(out).good());
   ASSERT_EQ(run_tool(spec + " --out " + out + " --quiet --shard 1/2"), 0);
   EXPECT_EQ(lines_of(read_file(out)).size(), 1u);
+
+  EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+}
+
+TEST(SweepTool, PlainExperimentRunsAsOneReplayableRecord) {
+  // A file without sweep lines is a one-cell grid: `dls_sweep -` is the
+  // front end for single experiments, dls_check replays included.
+  std::string tmpl = "/tmp/dls_sweep_tool_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  // Runs `text` on stdin; returns the exit code, output in `records`.
+  auto run_stdin = [&](const std::string& text, const std::string& flags,
+                       std::vector<std::string>& records) {
+    {
+      std::ofstream in(dir + "/in.txt");
+      in << text;
+    }
+    const int code = run_tool("- --quiet " + flags + " < " + dir + "/in.txt > " + dir +
+                              "/out.jsonl");
+    records = lines_of(read_file(dir + "/out.jsonl"));
+    return code;
+  };
+  std::vector<std::string> records;
+
+  // 100 tasks of 1 s under STAT on 4 workers: one record, seed verbatim
+  // (no derivation for a plain file), makespan 25.
+  ASSERT_EQ(run_stdin("technique STAT\ntasks 100\nworkers 4\nworkload constant:1.0\n"
+                      "h 0.5\nseed 7\n",
+                      "", records),
+            0);
+  ASSERT_EQ(records.size(), 1u);
+  const std::string stat = records[0];
+  EXPECT_NE(stat.find("\"cell\":0,\"of\":1,\"backend\":\"mw\""), std::string::npos) << stat;
+  EXPECT_NE(stat.find("\"seed\":7,"), std::string::npos) << stat;
+  const std::size_t makespan = stat.find("\"makespan\":{");
+  ASSERT_NE(makespan, std::string::npos) << stat;
+  const std::size_t mean = stat.find("\"mean\":", makespan);
+  ASSERT_NE(mean, std::string::npos) << stat;
+  EXPECT_NEAR(std::strtod(stat.c_str() + mean + 7, nullptr), 25.0, 1e-9) << stat;
+
+  // The record's experiment echo replays it byte for byte.
+  const std::optional<std::string> echo = sweep::record_experiment(stat);
+  ASSERT_TRUE(echo.has_value()) << stat;
+  ASSERT_EQ(run_stdin(*echo, "", records), 0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], stat);
+
+  // --backend picks the vehicle.
+  ASSERT_EQ(run_stdin(*echo, "--backend hagerup", records), 0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_NE(records[0].find("\"backend\":\"hagerup\""), std::string::npos) << records[0];
+
+  // Batched replicas render the same bytes at any pool width.
+  const std::string replicated =
+      "technique FAC2\ntasks 256\nworkers 4\nworkload exponential:1.0\nh 0.5\nseed 5\n"
+      "replicas 8\n";
+  ASSERT_EQ(run_stdin(replicated, "--threads 1", records), 0);
+  ASSERT_EQ(records.size(), 1u);
+  const std::string serial = records[0];
+  EXPECT_NE(serial.find("\"replicas\":8,"), std::string::npos) << serial;
+  ASSERT_EQ(run_stdin(replicated, "--threads 2", records), 0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], serial);
+
+  // A parse error is exit 2 and runs nothing.
+  EXPECT_EQ(run_stdin("technique STAT\ntasks 100\nworkers 4\nworkload constant:1.0\n"
+                      "worklod constant:1.0\n",
+                      "", records),
+            2);
+  EXPECT_TRUE(records.empty());
 
   EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }
