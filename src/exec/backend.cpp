@@ -37,11 +37,12 @@ class MwBackend final : public Backend {
   [[nodiscard]] std::string_view name() const override { return "mw"; }
   void validate(const mw::Config&) const override {}  // the full space
   [[nodiscard]] bool virtual_time() const override { return true; }
+  [[nodiscard]] workload::DrawParts draw_parts() const override { return mw::kDrawParts; }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     mw::Config cfg = config;
     cfg.record_chunk_log = true;
-    const std::unique_ptr<workload::RandomSource> rest = draw_step0(cfg, step0_);
+    const std::unique_ptr<workload::RandomSource> rest = draw_step0(cfg, draw_parts(), step0_);
     mw::RunResult result = mw::run_simulation(cfg, context_, step0_, *rest);
     BackendRun run;
     run.backend = "mw";
@@ -59,7 +60,8 @@ class MwBackend final : public Backend {
     return run;
   }
 
-  [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double> step0,
+  [[nodiscard]] Measured measure_on_draw(const mw::Config& config,
+                                         const workload::TaskDraw& step0,
                                          workload::RandomSource& rest) override {
     return measured(mw::run_simulation(config, context_, step0, rest), config);
   }
@@ -85,6 +87,7 @@ class HagerupBackend final : public Backend {
  public:
   [[nodiscard]] std::string_view name() const override { return "hagerup"; }
   [[nodiscard]] bool virtual_time() const override { return true; }
+  [[nodiscard]] workload::DrawParts draw_parts() const override { return hagerup::kDrawParts; }
 
   void validate(const mw::Config& config) const override {
     if (config.timesteps > 1) {
@@ -118,7 +121,7 @@ class HagerupBackend final : public Backend {
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     hagerup::Config cfg = convert(config);
     cfg.record_chunk_log = true;
-    static_cast<void>(draw_step0(config, step0_));
+    static_cast<void>(draw_step0(config, draw_parts(), step0_));
     hagerup::RunResult result = hagerup::run(cfg, step0_);
     BackendRun run;
     run.backend = "hagerup";
@@ -140,7 +143,8 @@ class HagerupBackend final : public Backend {
     return run;
   }
 
-  [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double> step0,
+  [[nodiscard]] Measured measure_on_draw(const mw::Config& config,
+                                         const workload::TaskDraw& step0,
                                          workload::RandomSource&) override {
     return measured(hagerup::run(convert(config), step0));
   }
@@ -187,6 +191,9 @@ class RuntimeBackend final : public Backend {
   [[nodiscard]] std::string_view name() const override { return "runtime"; }
   void validate(const mw::Config&) const override {}  // structural subset of everything
   [[nodiscard]] bool virtual_time() const override { return false; }
+  [[nodiscard]] workload::DrawParts draw_parts() const override {
+    return workload::DrawParts::kNone;
+  }
 
   [[nodiscard]] BackendRun run(const mw::Config& config) override {
     return execute(config, /*record_chunk_log=*/true);
@@ -208,7 +215,7 @@ class RuntimeBackend final : public Backend {
     return m;
   }
 
-  [[nodiscard]] Measured measure_on_draw(const mw::Config& config, std::span<const double>,
+  [[nodiscard]] Measured measure_on_draw(const mw::Config& config, const workload::TaskDraw&,
                                          workload::RandomSource&) override {
     return measure(config);
   }
@@ -283,16 +290,17 @@ class RuntimeBackend final : public Backend {
 }  // namespace
 
 Measured Backend::measure(const mw::Config& config) {
-  const std::unique_ptr<workload::RandomSource> rest = draw_step0(config, step0_);
+  const std::unique_ptr<workload::RandomSource> rest = draw_step0(config, draw_parts(), step0_);
   return measure_on_draw(config, step0_, *rest);
 }
 
 std::unique_ptr<workload::RandomSource> draw_step0(const mw::Config& config,
-                                                  std::vector<double>& times) {
+                                                  workload::DrawParts parts,
+                                                  workload::TaskDraw& draw) {
   if (!config.workload) throw std::invalid_argument("Config.workload is not set");
   std::unique_ptr<workload::RandomSource> source =
       workload::make_source(config.seed, config.use_rand48);
-  config.workload->generate_into(times, config.tasks, *source);
+  config.workload->draw(draw, config.tasks, *source, parts);
   return source;
 }
 

@@ -89,6 +89,7 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
   struct DrawGroup {
     std::size_t first = 0;  ///< jobs [first, end)
     std::size_t end = 0;
+    workload::DrawParts parts = workload::DrawParts::kNone;  ///< what the members read
   };
   std::vector<DrawGroup> groups;
   std::vector<std::size_t> offsets{0};
@@ -102,10 +103,11 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
       }
       if (joins) {
         group.end = j + 1;
+        group.parts = group.parts | slot_backend(0, jobs[j].backend).draw_parts();
         continue;
       }
     }
-    groups.push_back(DrawGroup{j, j + 1});
+    groups.push_back(DrawGroup{j, j + 1, slot_backend(0, jobs[j].backend).draw_parts()});
     offsets.push_back(offsets.back() + jobs[j].replicas);
   }
   const std::size_t total = offsets.back();
@@ -188,9 +190,9 @@ std::vector<BatchResult> BatchRunner::run(std::span<const BatchJob> jobs,
         // from `rest`.  A throwing run already invalidated the
         // backend's cached engine, so the cached instance stays safe
         // to reuse either way.
-        std::vector<double>& draw = slots_[slot].draw;
+        workload::TaskDraw& draw = slots_[slot].draw;
         const std::unique_ptr<workload::RandomSource> rest =
-            draw_step0(replica_config(group.first, replica), draw);
+            draw_step0(replica_config(group.first, replica), group.parts, draw);
         for (std::size_t j = group.first; j < group.end; ++j) {
           record(j, replica,
                  slot_backend(slot, jobs[j].backend)

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "mw/config.hpp"
 #include "mw/metrics.hpp"
 #include "mw/result.hpp"
+#include "workload/task_times.hpp"
 
 namespace exec {
 
@@ -51,7 +51,7 @@ struct Measured {
 
 /// One execution vehicle behind a uniform mw::Config-shaped job spec.
 ///
-/// A Backend instance owns reusable state (a step-0 draw buffer,
+/// A Backend instance owns reusable state (a step-0 draw,
 /// mw::RunContext, a cached runtime executor), so consecutive runs on
 /// the same instance reuse engines and buffers instead of reallocating
 /// them.  Instances are NOT thread-safe: use one per thread
@@ -71,21 +71,27 @@ class Backend {
   /// catalog's input.
   [[nodiscard]] virtual BackendRun run(const mw::Config& config) = 0;
 
+  /// The parts of a step-0 draw this vehicle reads: mw the running
+  /// sums, hagerup the times and the total, runtime nothing (it has no
+  /// task-time model).
+  [[nodiscard]] virtual workload::DrawParts draw_parts() const = 0;
+
   /// The measured values only, without materializing logs: draws step
-  /// 0's task times (draw_step0) into a reused buffer and runs
-  /// measure_on_draw() on them.  The runtime backend, which has no
-  /// task-time model, overrides it.
+  /// 0 (draw_step0) with this vehicle's own draw_parts() into a reused
+  /// draw and runs measure_on_draw() on it.  The runtime backend, which
+  /// has no task-time model, overrides it.
   [[nodiscard]] virtual Measured measure(const mw::Config& config);
 
-  /// measure() on step 0's task times drawn by the caller (see
-  /// draw_step0): `step0` holds config.tasks draws and `rest` is their
-  /// source, positioned right after them.  Bitwise equal to
-  /// measure(config).  The batch/sweep hot path: exec::BatchRunner
-  /// draws each replica once and measures every vehicle of a science
-  /// cell on it.  The runtime backend has no task-time model and
-  /// ignores the draw.
+  /// measure() on step 0's draw made by the caller (see draw_step0):
+  /// `step0` holds at least this vehicle's draw_parts() of
+  /// config.tasks task times, and `rest` is their source, positioned
+  /// right after them.  Bitwise equal to measure(config), whatever
+  /// extra parts the draw holds.  The batch/sweep hot path:
+  /// exec::BatchRunner draws each replica once, with the union of its
+  /// vehicles' parts, and measures every vehicle of a science cell on
+  /// it.  The runtime backend ignores the draw.
   [[nodiscard]] virtual Measured measure_on_draw(const mw::Config& config,
-                                                 std::span<const double> step0,
+                                                 const workload::TaskDraw& step0,
                                                  workload::RandomSource& rest) = 0;
 
   /// Makespans/chunk times are exact simulated values (false for the
@@ -93,9 +99,9 @@ class Backend {
   [[nodiscard]] virtual bool virtual_time() const = 0;
 
  protected:
-  /// Step 0's task times of the last measure()/run() draw; its
-  /// capacity survives across calls.
-  std::vector<double> step0_;
+  /// Step 0's draw of the last measure()/run() (this vehicle's parts
+  /// only); its capacity survives across calls.
+  workload::TaskDraw step0_;
 };
 
 /// Construction knobs that only apply to specific backends.
@@ -107,13 +113,15 @@ struct BackendOptions {
   unsigned runtime_max_threads = 0;
 };
 
-/// Draw step 0's task times of `config` (config.tasks draws of
-/// config.workload from workload::make_source(seed, use_rand48)) into
-/// `times`, reusing its capacity, and return the source positioned
-/// right after them -- the inputs of Backend::measure_on_draw.  Throws
-/// std::invalid_argument when config.workload is unset.
+/// Draw step 0 of `config` (config.tasks draws of config.workload from
+/// workload::make_source(seed, use_rand48)) into `draw`, filling
+/// `parts` in one pass and reusing its capacity, and return the source
+/// positioned right after the draw -- the inputs of
+/// Backend::measure_on_draw.  Throws std::invalid_argument when
+/// config.workload is unset.
 [[nodiscard]] std::unique_ptr<workload::RandomSource> draw_step0(const mw::Config& config,
-                                                                 std::vector<double>& times);
+                                                                 workload::DrawParts parts,
+                                                                 workload::TaskDraw& draw);
 
 /// The known backend names, in canonical (lexicographic) order:
 /// "hagerup", "mw", "runtime".

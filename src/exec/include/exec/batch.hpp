@@ -55,8 +55,10 @@ struct BatchResult {
 /// virtual-time jobs are flattened into one index space and claimed
 /// from a persistent pool::Executor (an external one via
 /// Options::executor, else the process-wide shared pool -- no per-call
-/// thread spawn).  A unit draws the replica's task times once
-/// (draw_step0) and measures every member on that one read-only draw
+/// thread spawn).  A unit draws the replica once (draw_step0), filling
+/// in one pass the union of the parts its members read
+/// (Backend::draw_parts: mw the running sums, hagerup the times and
+/// the total), and measures every member on that one read-only draw
 /// (Backend::measure_on_draw), so the vehicles compare on identical
 /// inputs by construction.  Every executor slot keeps one
 /// exec::Backend *per backend name* plus the buffer its units draw
@@ -111,7 +113,9 @@ class BatchRunner {
   /// One executor slot's reusable state.
   struct Slot {
     std::map<std::string, std::unique_ptr<Backend>, std::less<>> backends;  ///< by name
-    std::vector<double> draw;  ///< step-0 task times of the unit this slot runs
+    /// Step-0 draw of the unit this slot runs: the union of its
+    /// members' parts, reused across units.
+    workload::TaskDraw draw;
   };
 
   Options options_;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "dls/params.hpp"
@@ -61,16 +60,22 @@ struct RunResult {
   std::vector<dls::ChunkRecord> chunk_log;
 };
 
+/// The parts of a draw run() reads: the task times (each chunk sums its
+/// own) and their total (RunResult::total_work).
+inline constexpr workload::DrawParts kDrawParts =
+    workload::DrawParts::kTimes | workload::DrawParts::kTotal;
+
 /// Run one simulation.  Deterministic in Config (including seed):
 /// draws the task times (config.tasks draws of config.workload from
 /// workload::make_source(seed, use_rand48)) and runs the overload below
 /// on them.
 [[nodiscard]] RunResult run(const Config& config);
 
-/// Run on task times drawn by the caller: `task_times` must hold
-/// config.tasks values, and config.workload/seed/use_rand48 are not
-/// consulted.  exec::BatchRunner draws a replica once and runs every
-/// vehicle of a science cell on that one draw.
-[[nodiscard]] RunResult run(const Config& config, std::span<const double> task_times);
+/// Run on a draw made by the caller: `draw` must hold the times and
+/// total (kDrawParts) of config.tasks tasks, and
+/// config.workload/seed/use_rand48 are not consulted.
+/// exec::BatchRunner draws a replica once and runs every vehicle of a
+/// science cell on that one draw.
+[[nodiscard]] RunResult run(const Config& config, const workload::TaskDraw& draw);
 
 }  // namespace hagerup

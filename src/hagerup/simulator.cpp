@@ -30,18 +30,20 @@ RunResult run(const Config& config) {
   if (!config.workload) throw std::invalid_argument("Config.workload is not set");
   const std::unique_ptr<workload::RandomSource> rng =
       workload::make_source(config.seed, config.use_rand48);
-  std::vector<double> task_times;
-  config.workload->generate_into(task_times, config.tasks, *rng);
-  return run(config, task_times);
+  workload::TaskDraw draw;
+  config.workload->draw(draw, config.tasks, *rng, kDrawParts);
+  return run(config, draw);
 }
 
-RunResult run(const Config& config, std::span<const double> task_times) {
+RunResult run(const Config& config, const workload::TaskDraw& draw) {
   if (config.pes == 0) throw std::invalid_argument("Config.pes must be >= 1");
   if (config.tasks == 0) throw std::invalid_argument("Config.tasks must be >= 1");
-  if (task_times.size() != config.tasks) {
-    throw std::invalid_argument("hagerup::run: " + std::to_string(task_times.size()) +
-                                " task times for " + std::to_string(config.tasks) + " tasks");
+  if (!workload::includes(draw.parts, kDrawParts) || draw.times.size() != config.tasks) {
+    throw std::invalid_argument("hagerup::run: a draw of " + std::to_string(draw.times.size()) +
+                                " task times (with their total) for " +
+                                std::to_string(config.tasks) + " tasks");
   }
+  const std::vector<double>& task_times = draw.times;
 
   dls::Params params = config.params;
   params.p = config.pes;
@@ -51,7 +53,7 @@ RunResult run(const Config& config, std::span<const double> task_times) {
   RunResult result;
   result.compute_time.assign(config.pes, 0.0);
   result.chunks.assign(config.pes, 0);
-  for (double t : task_times) result.total_work += t;
+  result.total_work = draw.total;
 
   std::priority_queue<FreeEvent, std::vector<FreeEvent>, Later> queue;
   for (std::size_t w = 0; w < config.pes; ++w) queue.push(FreeEvent{0.0, w, 0, 0.0});

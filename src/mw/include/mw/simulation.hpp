@@ -1,18 +1,18 @@
 #pragma once
 
 #include <memory>
-#include <span>
 
 #include "mw/config.hpp"
 #include "mw/result.hpp"
+#include "workload/task_times.hpp"
 
 namespace mw {
 
 /// Reusable scratch state for run_simulation.
 ///
 /// Holds the simulation engine (platform, event-heap storage), the
-/// workload and prefix-sum buffers, and every bookkeeping vector of the
-/// serve loop.  When consecutive runs share the platform shape
+/// draw of timesteps after the first, and every bookkeeping vector of
+/// the serve loop.  When consecutive runs share the platform shape
 /// (workers, speeds, network parameters), the engine and its platform
 /// are reused instead of rebuilt, and after the first run the serve
 /// loop reaches a steady state with no heap allocation per chunk.
@@ -31,7 +31,7 @@ class RunContext {
 
  private:
   friend RunResult run_simulation(const Config& config, RunContext& context,
-                                  std::span<const double> step0, workload::RandomSource& rest);
+                                  const workload::TaskDraw& step0, workload::RandomSource& rest);
   std::unique_ptr<Impl> impl_;
 };
 
@@ -50,16 +50,21 @@ class RunContext {
 /// configurations.
 [[nodiscard]] RunResult run_simulation(const Config& config);
 
-/// Run on step 0's task times drawn by the caller, reusing `context`'s
-/// engine and buffers across calls -- the fast path for parameter
-/// sweeps.  `step0` must hold config.tasks values, and `rest` is the
-/// source they were drawn from, positioned right after them --
-/// timesteps after the first keep drawing from it (config.seed and
-/// use_rand48 are not consulted; exec::draw_step0 makes both inputs).
-/// exec::BatchRunner draws a replica once and runs every vehicle of a
-/// science cell on that one draw.  `step0` is only read before the
-/// simulation starts.
+/// The parts of a step-0 draw run_simulation reads: the running sums
+/// (chunks are served from them, and the step-0 total is prefix[n]).
+inline constexpr workload::DrawParts kDrawParts = workload::DrawParts::kPrefix;
+
+/// Run on step 0's draw made by the caller, reusing `context`'s engine
+/// and buffers across calls -- the fast path for parameter sweeps.
+/// `step0` must hold the running sums (kDrawParts) of config.tasks
+/// task times, and `rest` is the source they were drawn from,
+/// positioned right after them -- timesteps after the first keep
+/// drawing from it (config.seed and use_rand48 are not consulted;
+/// exec::draw_step0 makes both inputs).  exec::BatchRunner draws a
+/// replica once and runs every vehicle of a science cell on that one
+/// draw.  `step0` is read throughout step 0, so it must outlive the
+/// call.
 RunResult run_simulation(const Config& config, RunContext& context,
-                         std::span<const double> step0, workload::RandomSource& rest);
+                         const workload::TaskDraw& step0, workload::RandomSource& rest);
 
 }  // namespace mw

@@ -65,7 +65,7 @@ class TaskPool {
   /// prefix-sum index, so the cost is O(#ranges touched) rather than
   /// O(chunk size).  The exact sub-ranges taken are appended to `taken`
   /// (cleared first), so a failed chunk can be given back precisely.
-  void take(std::size_t count, const std::vector<double>& prefix, double& seconds,
+  void take(std::size_t count, std::span<const double> prefix, double& seconds,
             RangeList& taken) {
     taken.clear();
     seconds = 0.0;
@@ -164,8 +164,7 @@ struct RunContext::Impl {
   std::vector<simx::SimTime> reply_delay;
 
   // Serve-loop buffers.
-  std::vector<double> task_times;  ///< timesteps after the first are drawn here
-  std::vector<double> prefix;      ///< prefix[i] = sum of task_times[0..i)
+  workload::TaskDraw later_steps;  ///< timesteps after the first are drawn here
   TaskPool pool;
   IndexQueue to_serve;
   std::vector<std::size_t> parked;
@@ -189,28 +188,15 @@ struct Shared {
   dls::Technique* technique = nullptr;
   workload::RandomSource* rng = nullptr;
   RunContext::Impl* buf = nullptr;
+  /// Running sums of the step being served (step 0's draw, then
+  /// buf->later_steps).
+  std::span<const double> prefix;
 
   // scalar outputs
   double total_nominal_work = 0.0;
   std::size_t chunk_count = 0;
   std::size_t tasks_reclaimed = 0;
 };
-
-/// Rebuild the prefix-sum index over a step's task times and extend
-/// the running total-nominal-work accumulator (kept as its own
-/// left-to-right sum so the reported total is independent of how chunks
-/// later partition the step).
-void rebuild_prefix(Shared& sh, std::span<const double> t) {
-  std::vector<double>& prefix = sh.buf->prefix;
-  prefix.resize(t.size() + 1);
-  prefix[0] = 0.0;
-  double run = 0.0;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    sh.total_nominal_work += t[i];
-    run += t[i];
-    prefix[i + 1] = run;
-  }
-}
 
 /// Worker actor: request -> receive -> execute, until finalized ("When
 /// it finishes, it sends again a work request message to the master",
@@ -292,8 +278,13 @@ simx::Actor master_actor(simx::Context& ctx, Shared& sh) {
   for (std::size_t step = 0; step < cfg.timesteps; ++step) {
     if (step > 0) {
       tech.start_new_timestep();
-      cfg.workload->generate_into(buf.task_times, cfg.tasks, *sh.rng);
-      rebuild_prefix(sh, buf.task_times);
+      // The total carries over, so the run's total nominal work stays
+      // one left-to-right sum over every step's times.
+      cfg.workload->draw(buf.later_steps, cfg.tasks, *sh.rng,
+                         workload::DrawParts::kPrefix | workload::DrawParts::kTotal,
+                         sh.total_nominal_work);
+      sh.total_nominal_work = buf.later_steps.total;
+      sh.prefix = buf.later_steps.prefix;
     }
     pool.reset(cfg.tasks);
     std::size_t completed_tasks = 0;  // completed in this step
@@ -319,7 +310,7 @@ simx::Actor master_actor(simx::Context& ctx, Shared& sh) {
         const std::size_t chunk = tech.next_chunk(dls::Request{worker, issue_at});
         double seconds = 0.0;
         RangeList& served = buf.last_served[worker];
-        pool.take(chunk, buf.prefix, seconds, served);
+        pool.take(chunk, sh.prefix, seconds, served);
         const std::size_t log_first = served.front().first;
         ++sh.chunk_count;
         ++buf.chunks_per_worker[worker];
@@ -437,12 +428,12 @@ void validate(const Config& cfg) {
 }  // namespace
 
 RunResult run_simulation(const Config& config, RunContext& context,
-                         std::span<const double> step0, workload::RandomSource& rest) {
+                         const workload::TaskDraw& step0, workload::RandomSource& rest) {
   validate(config);
-  if (step0.size() != config.tasks) {
-    throw std::invalid_argument("run_simulation: " + std::to_string(step0.size()) +
-                                " step-0 task times for " + std::to_string(config.tasks) +
-                                " tasks");
+  if (!workload::includes(step0.parts, kDrawParts) || step0.prefix.size() != config.tasks + 1) {
+    throw std::invalid_argument("run_simulation: the step-0 draw holds " +
+                                std::to_string(step0.prefix.size()) + " running sums for " +
+                                std::to_string(config.tasks) + " tasks (needs tasks + 1)");
   }
   RunContext::Impl& buf = *context.impl_;
   const std::size_t p = config.workers;
@@ -538,7 +529,10 @@ RunResult run_simulation(const Config& config, RunContext& context,
     buf.chunk_log.reserve(estimate);
     buf.range_log.reserve(estimate);
   }
-  rebuild_prefix(shared, step0);
+  // Step 0's total is its last running sum: the same left-to-right
+  // additions from 0.
+  shared.prefix = step0.prefix;
+  shared.total_nominal_work = step0.prefix.back();
 
   buf.worker_states.assign(p, WorkerState{});
   for (std::size_t i = 0; i < p; ++i) {
@@ -592,8 +586,8 @@ RunResult run_simulation(const Config& config) {
   validate(config);
   const std::unique_ptr<workload::RandomSource> rng =
       workload::make_source(config.seed, config.use_rand48);
-  std::vector<double> step0;
-  config.workload->generate_into(step0, config.tasks, *rng);
+  workload::TaskDraw step0;
+  config.workload->draw(step0, config.tasks, *rng, kDrawParts);
   RunContext context;
   return run_simulation(config, context, step0, *rng);
 }

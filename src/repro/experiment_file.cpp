@@ -71,6 +71,18 @@ T to_count(const std::string& v, LineRef line) {
   return static_cast<T>(out);
 }
 
+/// A count whose run memory grows with it: to_count, then at most
+/// `max` (`per_unit` names the measured cost behind the cap).
+std::size_t to_capped_count(const std::string& v, LineRef line, std::size_t max,
+                            const char* per_unit) {
+  const auto out = to_count<std::size_t>(v, line);
+  if (out > max) {
+    parse_error(line, "above the cap of " + std::to_string(max) + " (" + per_unit +
+                          ", about 4 GiB at the cap): " + v);
+  }
+  return out;
+}
+
 bool to_bool(const std::string& v, LineRef line) {
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
@@ -152,9 +164,9 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
         parse_error(line, e.what());
       }
     } else if (key == "tasks") {
-      cfg.tasks = to_count<std::size_t>(value, line);
+      cfg.tasks = to_capped_count(value, line, kMaxTasks, "16 bytes of draw per task");
     } else if (key == "workers") {
-      cfg.workers = to_count<std::size_t>(value, line);
+      cfg.workers = to_capped_count(value, line, kMaxWorkers, "about 2 KiB per simulated worker");
     } else if (key == "workload") {
       try {
         cfg.workload = workload::from_spec(value);

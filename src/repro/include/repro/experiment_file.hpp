@@ -57,6 +57,13 @@ namespace repro {
 /// (simx::SpeedProfile); workers without a profile line keep their
 /// constant speed host_speed * factor.
 ///
+/// `workers` and `tasks` are capped, because a run's memory grows with
+/// both and a count far past what any machine holds would otherwise be
+/// run as is, until the allocation fails or the process is killed.
+/// Both caps keep one run near 4 GiB at the memory measured per unit
+/// (see kMaxWorkers and kMaxTasks); a value above a cap is a parse
+/// error naming the line.
+///
 /// A parsed experiment: the simulation Config plus the execution
 /// dimensions that live outside a single run.
 struct ExperimentSpec {
@@ -68,6 +75,20 @@ struct ExperimentSpec {
   /// "mw" is the reference message-passing simulator).
   std::string backend = "mw";
 };
+
+/// Largest `workers` value.  An mw run keeps about 2 KiB per simulated
+/// worker (peak RSS of a `tasks = workers` SS run grew 2.0 KiB per
+/// worker from 8192 to 65536 workers; GCC 12, x86-64), so 2^21 workers
+/// cost about 4 GiB -- 2048 times the 1024-worker cells of the
+/// reproduced experiments.
+inline constexpr std::size_t kMaxWorkers = std::size_t{1} << 21;
+
+/// Largest `tasks` value.  A replica's step-0 draw costs 16 bytes per
+/// task when mw and hagerup share it (the times and the running sums;
+/// peak RSS of an mw + hagerup cell grew 16 B per task from 2^21 to
+/// 2^23 tasks), so 2^28 tasks cost about 4 GiB -- 512 times the 2^19
+/// tasks of the largest reproduced experiment.
+inline constexpr std::size_t kMaxTasks = std::size_t{1} << 28;
 
 /// Parse the format described above.  Unknown keys are an error (a
 /// typo must not silently change an experiment).  Throws

@@ -39,6 +39,14 @@ struct EventBefore {
   }
 };
 
+/// The reverse order, for the descending layouts that pop their
+/// minimum from the back.
+struct EventAfter {
+  [[nodiscard]] bool operator()(const Event& a, const Event& b) const noexcept {
+    return EventBefore{}(b, a);
+  }
+};
+
 /// The (time, seq) total order.
 [[nodiscard]] inline bool event_before(const Event& a, const Event& b) {
   return EventBefore{}(a, b);
@@ -58,12 +66,14 @@ struct EventBefore {
 /// simx.queue_pushpop_ns).
 ///
 /// Ordering is exact, not approximate: a bucket is sorted by
-/// (time, seq) when the cursor first drains it, pushes that land in the
-/// bucket being drained insert at their sorted position among the
-/// not-yet-popped remainder, and same-time events therefore pop FIFO by
-/// seq -- bit-identical to the binary heap this replaced (the
-/// heap-vs-calendar property test in tests/simx/test_event_queue.cpp
-/// asserts it over seeded adversarial streams).
+/// descending (time, seq) when the cursor first drains it and pops from
+/// the back, pushes that land in the bucket being drained insert at
+/// their sorted position -- a new minimum, the common case (a reply
+/// scheduled a latency after now), is a plain push_back -- and
+/// same-time events therefore pop FIFO by seq, bit-identical to the
+/// binary heap this replaced (the heap-vs-calendar property test in
+/// tests/simx/test_event_queue.cpp asserts it over seeded adversarial
+/// streams).
 ///
 /// Determinism: bucket width and count adapt only at rebuild points
 /// that are pure functions of the push/pop sequence and the event times
@@ -109,9 +119,7 @@ class CalendarQueue {
         continue;
       }
       std::vector<Event>& bucket = buckets_[cursor_slot_ & (buckets_.size() - 1)];
-      if (drain_pos_ == bucket.size()) {
-        bucket.clear();  // keeps capacity
-        drain_pos_ = 0;
+      if (bucket.empty()) {
         cursor_sorted_ = false;
         advance_cursor();
         continue;
@@ -133,24 +141,20 @@ class CalendarQueue {
         // the events spread out.  Each attempt sees a zero span only
         // while every ring event shares one time -- and so one bucket
         // -- so it costs no more than the sort it precedes.
-        const std::size_t pending = bucket.size() - drain_pos_;
+        const std::size_t pending = bucket.size();
         if ((batch_refit_armed_ && pending >= 64 && pending * 4 >= ring_size_) ||
             (!width_fitted_ && ring_size_ >= 2)) {
           batch_refit_armed_ = false;
           rebuild(buckets_.size());
           continue;
         }
-        std::sort(bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_), bucket.end(),
-                  EventBefore{});
+        std::sort(bucket.begin(), bucket.end(), EventAfter{});
         cursor_sorted_ = true;
       }
-      const Event ev = bucket[drain_pos_++];
+      const Event ev = bucket.back();
+      bucket.pop_back();
       --size_;
       --ring_size_;
-      if (drain_pos_ == bucket.size()) {
-        bucket.clear();
-        drain_pos_ = 0;
-      }
       return ev;
     }
   }
@@ -165,7 +169,6 @@ class CalendarQueue {
     ring_size_ = 0;
     origin_ = 0.0;
     cursor_slot_ = 0;
-    drain_pos_ = 0;
     cursor_sorted_ = false;
     overflow_sorted_ = true;
     batch_refit_armed_ = true;
@@ -229,8 +232,9 @@ class CalendarQueue {
 
   /// Absolute slot of `time`, clamped into the live window.  Clamping
   /// is always order-safe: a too-early event joins the cursor's bucket
-  /// (sorted insert puts it first), a rounding overshoot joins the last
-  /// bucket (the drain sort restores its place).
+  /// (sorted insert puts it at the back, next to pop), a rounding
+  /// overshoot joins the last bucket (the drain sort restores its
+  /// place).
   [[nodiscard]] std::uint64_t slot_of(SimTime time) const {
     const double delta = time - origin_;
     std::uint64_t slot =
@@ -245,11 +249,12 @@ class CalendarQueue {
     ++ring_size_;
     const std::uint64_t slot = slot_of(ev.time);
     std::vector<Event>& bucket = buckets_[slot & (buckets_.size() - 1)];
-    if (slot == cursor_slot_ && cursor_sorted_) {
-      // Mid-drain push into the bucket being drained: keep the
-      // not-yet-popped remainder sorted so the (time, seq) order holds.
-      const auto begin = bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_);
-      bucket.insert(std::upper_bound(begin, bucket.end(), ev, EventBefore{}), ev);
+    if (slot == cursor_slot_ && cursor_sorted_ && !bucket.empty() &&
+        EventBefore{}(bucket.back(), ev)) {
+      // Mid-drain push into the bucket being drained, behind its
+      // minimum: keep the bucket descending so the (time, seq) order
+      // holds.  A new minimum falls through to the push_back.
+      bucket.insert(std::upper_bound(bucket.begin(), bucket.end(), ev, EventAfter{}), ev);
       return;
     }
     bucket.push_back(ev);
@@ -265,8 +270,7 @@ class CalendarQueue {
   void sort_overflow() {
     if (overflow_sorted_) return;
     // Descending, so the minimum is popped/migrated from the back.
-    std::sort(overflow_.begin(), overflow_.end(),
-              [](const Event& a, const Event& b) { return EventBefore{}(b, a); });
+    std::sort(overflow_.begin(), overflow_.end(), EventAfter{});
     overflow_sorted_ = true;
   }
 
@@ -301,7 +305,6 @@ class CalendarQueue {
     fit_width(overflow_[first_finite].time - tmin, finite);
     origin_ = tmin;
     cursor_slot_ = 0;
-    drain_pos_ = 0;
     cursor_sorted_ = false;
     recompute_window_end();
     if (!(window_end_ > tmin)) {
@@ -335,16 +338,10 @@ class CalendarQueue {
   /// identical push/pop sequences rebuild identically.
   void rebuild(std::size_t new_count) {
     scratch_.clear();
-    std::vector<Event>& cursor_bucket = buckets_[cursor_slot_ & (buckets_.size() - 1)];
-    scratch_.insert(scratch_.end(),
-                    cursor_bucket.begin() + static_cast<std::ptrdiff_t>(drain_pos_),
-                    cursor_bucket.end());
-    for (std::size_t i = 1; i < buckets_.size(); ++i) {
-      std::vector<Event>& bucket = buckets_[(cursor_slot_ + i) & (buckets_.size() - 1)];
+    for (std::vector<Event>& bucket : buckets_) {
       scratch_.insert(scratch_.end(), bucket.begin(), bucket.end());
       bucket.clear();
     }
-    cursor_bucket.clear();
     scratch_.insert(scratch_.end(), overflow_.begin(), overflow_.end());
     overflow_.clear();
     std::sort(scratch_.begin(), scratch_.end(), EventBefore{});
@@ -356,7 +353,6 @@ class CalendarQueue {
     buckets_.resize(new_count);
     origin_ = scratch_.empty() ? 0.0 : scratch_.front().time;
     cursor_slot_ = 0;
-    drain_pos_ = 0;
     recompute_window_end();
     std::size_t i = 0;
     for (; i < scratch_.size() && scratch_[i].time < window_end_; ++i) {
@@ -370,7 +366,8 @@ class CalendarQueue {
     overflow_min_time_ = overflow_.empty() ? std::numeric_limits<double>::infinity()
                                            : overflow_.back().time;
     // Buckets were filled in ascending (time, seq) order, so the
-    // cursor's bucket is already drain-ready.
+    // cursor's bucket is drain-ready once reversed.
+    std::reverse(buckets_[0].begin(), buckets_[0].end());
     cursor_sorted_ = true;
     // Keep the overflow-pressure trigger above double whatever this
     // rebuild could not bring into the window (it never decays within
@@ -388,8 +385,8 @@ class CalendarQueue {
   double inv_width_ = 1.0;
   double window_end_ = static_cast<double>(kMinBuckets);  // origin + (cursor+count)*width
   double overflow_min_time_ = std::numeric_limits<double>::infinity();
-  std::uint64_t cursor_slot_ = 0;  // absolute slot the drain cursor is on
-  std::size_t drain_pos_ = 0;      // next undrained index in the cursor's bucket
+  std::uint64_t cursor_slot_ = 0;  // absolute slot the drain cursor is on; its bucket pops
+                                   // from the back
   std::size_t size_ = 0;
   std::size_t ring_size_ = 0;
   std::size_t overflow_refit_trigger_ = 2 * kMinBuckets;  // doubles per rebuild

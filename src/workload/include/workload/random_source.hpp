@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -24,6 +25,12 @@ class RandomSource {
 
   /// Uniformly distributed double in [0, 1).
   virtual double uniform01() = 0;
+  /// out[0..n) = the next n uniform01() values, in order, through one
+  /// virtual call instead of n; the source ends where n uniform01()
+  /// calls would leave it.  The task-time draw's block fill.
+  virtual void fill_uniform01(double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = uniform01();
+  }
   /// Uniformly distributed 64-bit value.
   virtual std::uint64_t next_u64() = 0;
   /// Independent stream for run `index`; deterministic in (seed, index).
@@ -36,6 +43,9 @@ class Rand48Source final : public RandomSource {
   explicit Rand48Source(std::uint32_t seed) : gen_(seed), seed_(seed) {}
 
   double uniform01() override { return gen_.drand48(); }
+  void fill_uniform01(double* out, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = gen_.drand48();
+  }
   std::uint64_t next_u64() override {
     // Two 31-bit draws + one 2-bit draw would be wasteful; compose two
     // mrand48 words, which exercise the full 32 high bits of the state.
@@ -61,6 +71,9 @@ class XoshiroSource final : public RandomSource {
   double uniform01() override {
     // 53 high-quality bits -> [0,1).
     return static_cast<double>(next_u64() >> 11) * 0x1p-53;
+  }
+  void fill_uniform01(double* out, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = XoshiroSource::uniform01();
   }
   // Inline: one virtual dispatch per draw is unavoidable through the
   // interface, but the xoshiro step itself must not cost a second call

@@ -9,6 +9,56 @@
 
 namespace workload {
 
+/// The parts of a TaskDraw one draw fills (bit flags; combine with |).
+/// Each vehicle reads its own: mw serves chunks from the running sums,
+/// hagerup sums its chunks from the times and reports the total.
+enum class DrawParts : unsigned {
+  kNone = 0,
+  kTimes = 1u << 0,   ///< TaskDraw::times
+  kPrefix = 1u << 1,  ///< TaskDraw::prefix
+  kTotal = 1u << 2,   ///< TaskDraw::total
+};
+
+[[nodiscard]] constexpr DrawParts operator|(DrawParts a, DrawParts b) {
+  return static_cast<DrawParts>(static_cast<unsigned>(a) | static_cast<unsigned>(b));
+}
+
+/// Whether `parts` includes every part of `wanted`.
+[[nodiscard]] constexpr bool includes(DrawParts parts, DrawParts wanted) {
+  return (static_cast<unsigned>(parts) & static_cast<unsigned>(wanted)) ==
+         static_cast<unsigned>(wanted);
+}
+
+/// One step's n task times and the sums taken over them, filled in a
+/// single pass by TaskTimeGenerator::draw.  A part the draw was not
+/// asked for is left empty (0 for the total); vectors keep their
+/// capacity across draws.
+struct TaskDraw {
+  DrawParts parts = DrawParts::kNone;  ///< what the last draw filled
+  std::vector<double> times;   ///< times[i]: task i's execution time (n entries)
+  /// Left-to-right running sums: prefix[0] = 0 and
+  /// prefix[i + 1] = prefix[i] + times[i] (n + 1 entries).
+  std::vector<double> prefix;
+  /// total_in + times[0] + ... + times[n - 1], added left to right, where
+  /// total_in is the draw's carried-in total (0 for a fresh draw, so
+  /// the total then equals prefix[n] bit for bit).
+  double total = 0.0;
+};
+
+/// Tasks per block of a draw: a generator that consumes a fixed number
+/// of uniforms per task fills one block's uniforms through one
+/// RandomSource::fill_uniform01 call.
+inline constexpr std::size_t kDrawBlock = 256;
+
+/// Where one draw writes (TaskTimeGenerator::do_draw); a null pointer
+/// skips that part.  `total` holds the carried-in total on entry and
+/// the new total on return.
+struct DrawTarget {
+  double* times = nullptr;   ///< n entries
+  double* prefix = nullptr;  ///< n + 1 entries, prefix[0] included
+  double* total = nullptr;
+};
+
 /// Generator of task (loop-iteration) execution times, the central
 /// application input of a DLS simulation (paper Figure 2: "Task
 /// Execution Times" + "Distribution").
@@ -45,16 +95,27 @@ class TaskTimeGenerator {
   [[nodiscard]] std::vector<double> generate(std::size_t n, RandomSource& rng) const;
 
   /// Fill `out` (resized to n) with the same values generate() would
-  /// produce, reusing out's capacity.  This is the simulation hot path:
-  /// a time-stepping run regenerates the workload every step, and the
-  /// master must not allocate for it in steady state.
+  /// produce, reusing out's capacity: the times-only case of draw().
   void generate_into(std::vector<double>& out, std::size_t n, RandomSource& rng) const;
 
+  /// Draw n task times and fill the requested `parts` of `out` in one
+  /// pass, reusing its capacity; parts not requested are cleared.  The
+  /// times equal generate()'s, and the source ends where generate()
+  /// leaves it, whatever the parts.  `total_in` starts the total, so a
+  /// run's total over several steps stays one left-to-right sum.  This
+  /// is the simulation hot path: vehicles read the sums off the draw
+  /// instead of walking the times again, and a time-stepping run
+  /// redraws every step without allocating in steady state.
+  void draw(TaskDraw& out, std::size_t n, RandomSource& rng, DrawParts parts,
+            double total_in = 0.0) const;
+
  protected:
-  /// Bulk-fill hook: out[i] = sample(i, n, rng) for i in [0, n).
-  /// Hot generators override this with a devirtualized tight loop; the
-  /// values must be bit-identical to per-sample generation.
-  virtual void do_generate_into(double* out, std::size_t n, RandomSource& rng) const;
+  /// The draw loop: times[i] = sample(i, n, rng) for i in [0, n), with
+  /// the running sums and the total taken in the same loop.  Generators
+  /// that use a fixed number of uniforms per task override it with a
+  /// devirtualized loop on block-filled uniforms whose values are
+  /// bit-identical to per-sample generation.
+  virtual void do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const;
 };
 
 /// Every task takes exactly `value` seconds (TSS experiments 1 and 2).

@@ -11,6 +11,58 @@
 
 namespace workload {
 
+namespace {
+
+/// The one draw loop every generator runs.  Task i's time is
+/// sample(i, u), where u points at the kUniforms uniforms drawn for
+/// task i, block-filled in draw order; a generator whose uniform count
+/// varies per task (rejection sampling) or that draws none uses
+/// kUniforms = 0.  The running sum and the total are taken in
+/// the same loop, each as one left-to-right sum.
+template <std::size_t kUniforms, bool kTimes, bool kPrefix, bool kTotal, typename Sample>
+void draw_loop(const DrawTarget& target, std::size_t n,
+               RandomSource& rng, const Sample& sample) {
+  double u[kUniforms == 0 ? 1 : kDrawBlock * kUniforms];
+  double run = 0.0;
+  double total = kTotal ? *target.total : 0.0;
+  if constexpr (kPrefix) target.prefix[0] = 0.0;
+  for (std::size_t base = 0; base < n; base += kDrawBlock) {
+    const std::size_t m = std::min(kDrawBlock, n - base);
+    if constexpr (kUniforms > 0) rng.fill_uniform01(u, m * kUniforms);
+    for (std::size_t j = 0; j < m; ++j) {
+      const double t = sample(base + j, u + j * kUniforms);
+      if constexpr (kTimes) target.times[base + j] = t;
+      if constexpr (kPrefix) {
+        run += t;
+        target.prefix[base + j + 1] = run;
+      }
+      if constexpr (kTotal) total += t;
+    }
+  }
+  if constexpr (kTotal) *target.total = total;
+}
+
+/// draw_loop specialized for the parts `target` asks for.
+template <std::size_t kUniforms, typename Sample>
+void draw_with(const DrawTarget& target, std::size_t n,
+               RandomSource& rng, const Sample& sample) {
+  const unsigned parts = (target.times != nullptr ? 1u : 0u) |
+                         (target.prefix != nullptr ? 2u : 0u) |
+                         (target.total != nullptr ? 4u : 0u);
+  switch (parts) {
+    case 0: return draw_loop<kUniforms, false, false, false>(target, n, rng, sample);
+    case 1: return draw_loop<kUniforms, true, false, false>(target, n, rng, sample);
+    case 2: return draw_loop<kUniforms, false, true, false>(target, n, rng, sample);
+    case 3: return draw_loop<kUniforms, true, true, false>(target, n, rng, sample);
+    case 4: return draw_loop<kUniforms, false, false, true>(target, n, rng, sample);
+    case 5: return draw_loop<kUniforms, true, false, true>(target, n, rng, sample);
+    case 6: return draw_loop<kUniforms, false, true, true>(target, n, rng, sample);
+    default: return draw_loop<kUniforms, true, true, true>(target, n, rng, sample);
+  }
+}
+
+}  // namespace
+
 std::vector<double> TaskTimeGenerator::generate(std::size_t n, RandomSource& rng) const {
   std::vector<double> out;
   generate_into(out, n, rng);
@@ -20,11 +72,30 @@ std::vector<double> TaskTimeGenerator::generate(std::size_t n, RandomSource& rng
 void TaskTimeGenerator::generate_into(std::vector<double>& out, std::size_t n,
                                       RandomSource& rng) const {
   out.resize(n);
-  if (n > 0) do_generate_into(out.data(), n, rng);
+  if (n > 0) do_draw(DrawTarget{out.data(), nullptr, nullptr}, n, rng);
 }
 
-void TaskTimeGenerator::do_generate_into(double* out, std::size_t n, RandomSource& rng) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = sample(i, n, rng);
+void TaskTimeGenerator::draw(TaskDraw& out, std::size_t n, RandomSource& rng, DrawParts parts,
+                             double total_in) const {
+  const auto fill = [&](std::vector<double>& part, DrawParts which, std::size_t size) {
+    if (!includes(parts, which)) {
+      part.clear();
+      return static_cast<double*>(nullptr);
+    }
+    part.resize(size);
+    return part.data();
+  };
+  const bool with_total = includes(parts, DrawParts::kTotal);
+  out.parts = parts;
+  out.total = with_total ? total_in : 0.0;
+  do_draw(DrawTarget{fill(out.times, DrawParts::kTimes, n),
+                     fill(out.prefix, DrawParts::kPrefix, n + 1),
+                     with_total ? &out.total : nullptr},
+          n, rng);
+}
+
+void TaskTimeGenerator::do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const {
+  draw_with<0>(target, n, rng, [&](std::size_t i, const double*) { return sample(i, n, rng); });
 }
 
 namespace {
@@ -37,8 +108,8 @@ class Constant final : public TaskTimeGenerator {
  public:
   explicit Constant(double value) : value_(value) { require_positive(value, "constant value"); }
   double sample(std::size_t, std::size_t, RandomSource&) const override { return value_; }
-  void do_generate_into(double* out, std::size_t n, RandomSource&) const override {
-    std::fill(out, out + n, value_);
+  void do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const override {
+    draw_with<0>(target, n, rng, [v = value_](std::size_t, const double*) { return v; });
   }
   double mean() const override { return value_; }
   double stddev() const override { return 0.0; }
@@ -56,6 +127,11 @@ class Uniform final : public TaskTimeGenerator {
   }
   double sample(std::size_t, std::size_t, RandomSource& rng) const override {
     return lo_ + (hi_ - lo_) * rng.uniform01();
+  }
+  void do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const override {
+    draw_with<1>(target, n, rng, [lo = lo_, hi = hi_](std::size_t, const double* u) {
+      return lo + (hi - lo) * u[0];
+    });
   }
   double mean() const override { return 0.5 * (lo_ + hi_); }
   double stddev() const override { return (hi_ - lo_) / std::sqrt(12.0); }
@@ -77,11 +153,11 @@ class Exponential final : public TaskTimeGenerator {
     // Inverse CDF; 1-u in (0,1] so log() never sees zero.
     return -mu_ * std::log(1.0 - rng.uniform01());
   }
-  void do_generate_into(double* out, std::size_t n, RandomSource& rng) const override {
-    // Same inverse-CDF arithmetic as sample(); only the per-element
-    // virtual dispatch is hoisted out of the loop.
-    const double mu = mu_;
-    for (std::size_t i = 0; i < n; ++i) out[i] = -mu * std::log(1.0 - rng.uniform01());
+  void do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const override {
+    // Same inverse-CDF arithmetic as sample(), on block-filled uniforms.
+    draw_with<1>(target, n, rng, [mu = mu_](std::size_t, const double* u) {
+      return -mu * std::log(1.0 - u[0]);
+    });
   }
   double mean() const override { return mu_; }
   double stddev() const override { return mu_; }
@@ -92,13 +168,20 @@ class Exponential final : public TaskTimeGenerator {
   double mu_;
 };
 
+/// Box-Muller on two uniforms u[0], u[1] in [0, 1), in draw order.
+double box_muller(const double* u) {
+  const double u1 = 1.0 - u[0];  // (0,1]
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u[1]);
+}
+
 double sample_standard_normal(RandomSource& rng) {
   // Box-Muller; consumes two uniforms per call.  The pair's second
   // value is deliberately not cached: keeping the generator stateless
   // preserves the "same seed, same workload" contract under splitting.
-  const double u1 = 1.0 - rng.uniform01();  // (0,1]
-  const double u2 = rng.uniform01();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+  double u[2];
+  u[0] = rng.uniform01();
+  u[1] = rng.uniform01();
+  return box_muller(u);
 }
 
 class Normal final : public TaskTimeGenerator {
@@ -180,6 +263,11 @@ class Lognormal final : public TaskTimeGenerator {
   double sample(std::size_t, std::size_t, RandomSource& rng) const override {
     return std::exp(mu_log_ + sigma_log_ * sample_standard_normal(rng));
   }
+  void do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const override {
+    draw_with<2>(target, n, rng, [mu = mu_log_, sigma = sigma_log_](std::size_t, const double* u) {
+      return std::exp(mu + sigma * box_muller(u));
+    });
+  }
   double mean() const override { return mean_; }
   double stddev() const override { return stddev_; }
   std::string name() const override {
@@ -206,6 +294,11 @@ class Weibull final : public TaskTimeGenerator {
     const double u = 1.0 - rng.uniform01();  // (0,1]
     return scale_ * std::pow(-std::log(u), 1.0 / shape_);
   }
+  void do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const override {
+    draw_with<1>(target, n, rng, [this](std::size_t, const double* u) {
+      return scale_ * std::pow(-std::log(1.0 - u[0]), 1.0 / shape_);
+    });
+  }
   double mean() const override { return mean_; }
   double stddev() const override { return stddev_; }
   std::string name() const override {
@@ -228,6 +321,10 @@ class Bimodal final : public TaskTimeGenerator {
   }
   double sample(std::size_t, std::size_t, RandomSource& rng) const override {
     return rng.uniform01() < w_ ? hi_ : lo_;
+  }
+  void do_draw(const DrawTarget& target, std::size_t n, RandomSource& rng) const override {
+    draw_with<1>(target, n, rng,
+                 [this](std::size_t, const double* u) { return u[0] < w_ ? hi_ : lo_; });
   }
   double mean() const override { return (1.0 - w_) * lo_ + w_ * hi_; }
   double stddev() const override {

@@ -57,10 +57,14 @@ TEST(MwBackend, MeasureMatchesRunSimulationPlusMetricsBitwise) {
 }
 
 /// `backend.measure(cfg)` against measure_on_draw on a draw made here,
-/// outside the backend, from the config's own seed and generator.
+/// outside the backend, from the config's own seed and generator, with
+/// every part filled (a batch unit's draw holds its members' union).
 void expect_measure_equals_measure_on_draw(exec::Backend& backend, const mw::Config& cfg) {
   const auto source = workload::make_source(cfg.seed, cfg.use_rand48);
-  const std::vector<double> step0 = cfg.workload->generate(cfg.tasks, *source);
+  workload::TaskDraw step0;
+  cfg.workload->draw(step0, cfg.tasks, *source,
+                     workload::DrawParts::kTimes | workload::DrawParts::kPrefix |
+                         workload::DrawParts::kTotal);
   const exec::Measured on_draw = backend.measure_on_draw(cfg, step0, *source);
   const exec::Measured direct = backend.measure(cfg);
   EXPECT_EQ(on_draw.makespan, direct.makespan) << backend.name();
@@ -85,14 +89,43 @@ TEST(Backend, MeasureEqualsMeasureOnAnExternalDrawBitwise) {
 
 TEST(Backend, DrawStep0IsTheSimulatorsOwnDraw) {
   const mw::Config cfg = comparable_config(Kind::kSS, 2, 300, /*seed=*/12);
-  std::vector<double> times;
-  const auto rest = exec::draw_step0(cfg, times);
+  workload::TaskDraw draw;
+  const auto rest = exec::draw_step0(cfg, workload::DrawParts::kTimes, draw);
   const auto source = workload::make_source(cfg.seed, cfg.use_rand48);
-  EXPECT_EQ(times, cfg.workload->generate(cfg.tasks, *source));
+  EXPECT_EQ(draw.times, cfg.workload->generate(cfg.tasks, *source));
   EXPECT_EQ(rest->next_u64(), source->next_u64());  // positioned after step 0
   mw::Config unset = cfg;
   unset.workload = nullptr;
-  EXPECT_THROW((void)exec::draw_step0(unset, times), std::invalid_argument);
+  EXPECT_THROW((void)exec::draw_step0(unset, workload::DrawParts::kTimes, draw),
+               std::invalid_argument);
+}
+
+TEST(Backend, EachVehicleDrawsOnlyThePartsItReads) {
+  using workload::DrawParts;
+  const auto mw_backend = exec::make_backend("mw");
+  const auto hagerup_backend = exec::make_backend("hagerup");
+  EXPECT_EQ(mw_backend->draw_parts(), DrawParts::kPrefix);
+  EXPECT_EQ(hagerup_backend->draw_parts(), DrawParts::kTimes | DrawParts::kTotal);
+  EXPECT_EQ(exec::make_backend("runtime")->draw_parts(), DrawParts::kNone);
+
+  const mw::Config cfg = comparable_config(Kind::kFAC2, 4, 600, /*seed=*/21);
+  workload::TaskDraw draw;
+  // hagerup's standalone draw holds no running sums ...
+  (void)exec::draw_step0(cfg, hagerup_backend->draw_parts(), draw);
+  EXPECT_EQ(draw.times.size(), cfg.tasks);
+  EXPECT_TRUE(draw.prefix.empty());
+  EXPECT_GT(draw.total, 0.0);
+  // ... and an mw-only draw holds no times.
+  (void)exec::draw_step0(cfg, mw_backend->draw_parts(), draw);
+  EXPECT_TRUE(draw.times.empty());
+  EXPECT_EQ(draw.prefix.size(), cfg.tasks + 1);
+
+  // A draw without a vehicle's parts is refused, not misread.
+  const auto source = workload::make_source(cfg.seed, cfg.use_rand48);
+  EXPECT_THROW((void)hagerup_backend->measure_on_draw(cfg, draw, *source),
+               std::invalid_argument);
+  (void)exec::draw_step0(cfg, hagerup_backend->draw_parts(), draw);
+  EXPECT_THROW((void)mw_backend->measure_on_draw(cfg, draw, *source), std::invalid_argument);
 }
 
 TEST(MwBackend, ContextReuseIsBitwiseDeterministic) {

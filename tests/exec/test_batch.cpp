@@ -403,6 +403,28 @@ TEST(BatchRunner, SiblingsThatDrawDifferentlyStillMatchSeparateRuns) {
   expect_batch_matches_separate_runs(jobs);
 }
 
+TEST(BatchRunner, SharedDrawUnitMeasuresEqualEachVehiclesStandaloneMeasure) {
+  // A unit draws the union of its members' parts (mw's running sums,
+  // hagerup's times and total); each member must still report exactly
+  // what Backend::measure reports on its own, smaller draw.  One
+  // replica per job, so each summary's mean is the replica's value.
+  std::vector<exec::BatchJob> jobs;
+  for (const Kind kind : {Kind::kSS, Kind::kFAC2, Kind::kBOLD}) {
+    const exec::BatchJob mw_job = make_job(kind, 8, 2000, 1, /*seed=*/300 + jobs.size());
+    jobs.push_back(mw_job);
+    jobs.push_back(on_backend(mw_job, "hagerup"));
+  }
+  const std::vector<exec::BatchResult> batched = exec::BatchRunner().run(jobs);
+  ASSERT_EQ(batched.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const exec::Measured alone = exec::make_backend(jobs[j].backend)->measure(jobs[j].config);
+    EXPECT_EQ(batched[j].makespan.mean, alone.makespan) << "job " << j;
+    EXPECT_EQ(batched[j].avg_wasted_time.mean, alone.avg_wasted_time) << "job " << j;
+    EXPECT_EQ(batched[j].speedup.mean, alone.speedup) << "job " << j;
+    EXPECT_EQ(batched[j].chunks.mean, alone.chunks) << "job " << j;
+  }
+}
+
 TEST(BatchRunner, RuntimeJobBetweenSiblingsKeepsThemExact) {
   const exec::BatchJob mw_job = make_job(Kind::kGSS, 4, 512, 3, /*seed=*/5);
   const std::vector<exec::BatchJob> jobs = {

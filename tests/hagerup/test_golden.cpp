@@ -76,8 +76,9 @@ void expect_golden(const hagerup::Config& cfg, const Golden& golden) {
   // Task times drawn outside the simulator (the batch path) must not
   // perturb a single bit.
   const auto source = workload::make_source(cfg.seed, cfg.use_rand48);
-  const std::vector<double> task_times = cfg.workload->generate(cfg.tasks, *source);
-  const hagerup::RunResult drawn = hagerup::run(cfg, task_times);
+  workload::TaskDraw draw;
+  cfg.workload->draw(draw, cfg.tasks, *source, hagerup::kDrawParts);
+  const hagerup::RunResult drawn = hagerup::run(cfg, draw);
   EXPECT_EQ(bits(drawn.makespan), bits(golden.makespan));
   EXPECT_EQ(drawn.chunk_count, golden.chunks);
   EXPECT_EQ(chunk_log_hash(drawn), golden.log_hash);

@@ -93,7 +93,8 @@ void expect_golden(const mw::Config& cfg, const Golden& golden) {
   mw::RunContext context;
   const auto run_reusing_context = [&] {
     const auto rest = workload::make_source(cfg.seed, cfg.use_rand48);
-    const std::vector<double> step0 = cfg.workload->generate(cfg.tasks, *rest);
+    workload::TaskDraw step0;
+    cfg.workload->draw(step0, cfg.tasks, *rest, mw::kDrawParts);
     return mw::run_simulation(cfg, context, step0, *rest);
   };
   (void)run_reusing_context();

@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mw/simulation.hpp"
 #include "repro/experiment_file.hpp"
+#include "sweep/grid.hpp"
 #include "workload/task_times.hpp"
 
 namespace {
@@ -171,10 +174,6 @@ TEST(ExperimentFile, CountKeysParseExactlyAndRejectOutOfRangeValues) {
             4294967295u);
   // Above 2^53 a double path would round ...993 to ...992; digits parse
   // exactly.
-  EXPECT_EQ(repro::parse_experiment_spec(
-                "technique SS\ntasks 64\nworkers 9007199254740993\nworkload constant:1.0\n")
-                .config.workers,
-            9007199254740993u);
   EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "request_bytes 9007199254740993\n")
                 .config.request_bytes,
             9007199254740993u);
@@ -187,9 +186,10 @@ TEST(ExperimentFile, CountKeysParseExactlyAndRejectOutOfRangeValues) {
     EXPECT_NE(message.find("line 5"), std::string::npos) << line << ": " << message;
     EXPECT_NE(message.find(line), std::string::npos) << line << ": " << message;
   }
-  EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "tasks 9.007199254740991e15\n")
-                .config.tasks,
-            9007199254740991u);
+  EXPECT_EQ(
+      repro::parse_experiment_spec(std::string(kBase) + "request_bytes 9.007199254740991e15\n")
+          .config.request_bytes,
+      9007199254740991u);
   // Past uint64 in digits, negative, fractional and NaN values.
   for (const char* line : {"seed 18446744073709551616", "seed_stride 99999999999999999999",
                            "timesteps -1", "gss_min 2.5", "reply_bytes nan"}) {
@@ -198,6 +198,45 @@ TEST(ExperimentFile, CountKeysParseExactlyAndRejectOutOfRangeValues) {
   EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "seed 18446744073709551615\n")
                 .config.seed,
             18446744073709551615ULL);
+}
+
+TEST(ExperimentFile, WorkerAndTaskCountsAboveTheirCapsAreLineNumberedErrors) {
+  // Only parsed, never run: nothing here allocates the counts.
+  auto message_of = [](const std::string& text) {
+    try {
+      (void)repro::parse_experiment_spec(text);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const std::string workers_cap = std::to_string(repro::kMaxWorkers);
+  const std::string tasks_cap = std::to_string(repro::kMaxTasks);
+  const std::string above_workers = std::to_string(repro::kMaxWorkers + 1);
+  const std::string above_tasks = std::to_string(repro::kMaxTasks + 1);
+  const repro::ExperimentSpec at_caps = repro::parse_experiment_spec(
+      "technique SS\ntasks " + tasks_cap + "\nworkers " + workers_cap +
+      "\nworkload constant:1\n");
+  EXPECT_EQ(at_caps.config.workers, repro::kMaxWorkers);
+  EXPECT_EQ(at_caps.config.tasks, repro::kMaxTasks);
+
+  const std::vector<std::string> over = {"workers " + above_workers, "workers 9007199254740993",
+                                         "tasks " + above_tasks, "tasks 9000000000000000"};
+  for (const std::string& line : over) {
+    const std::string message =
+        message_of("technique SS\nworkload constant:1\ntasks 16\nworkers 2\n" + line + "\n");
+    EXPECT_NE(message.find("line 5"), std::string::npos) << line << ": " << message;
+    EXPECT_NE(message.find(line), std::string::npos) << line << ": " << message;
+    EXPECT_NE(message.find("above the cap"), std::string::npos) << line << ": " << message;
+  }
+  // Sweep values go through the same parse when the grid is declared.
+  try {
+    (void)sweep::parse_grid("technique SS\ntasks 16\nworkload constant:1\nsweep workers 4 " +
+                            above_workers + "\n");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("above the cap"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ExperimentFile, SweepLineIsRejectedWithGridHint) {

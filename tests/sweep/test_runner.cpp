@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "repro/experiment_file.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
 
@@ -241,6 +242,26 @@ TEST(SweepTool, ResumeAfterTornTailMatchesUninterruptedByteForByte) {
   EXPECT_EQ(run_tool(spec + " --out " + out + " --quiet"), 2);
   EXPECT_EQ(read_file(out), read_file(reference));
 
+  EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+}
+
+TEST(SweepTool, CountsJustAboveTheirCapsAreParseErrors) {
+  // Rejected while parsing, so neither count is ever allocated and no
+  // cell (or thread) starts.
+  std::string tmpl = "/tmp/dls_sweep_tool_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  const std::string out = dir + "/out.jsonl";
+  const std::string base = "technique SS\nworkload constant:1\n";
+  const std::vector<std::string> specs = {
+      base + "tasks 16\nworkers " + std::to_string(repro::kMaxWorkers + 1) + "\n",
+      base + "workers 2\ntasks " + std::to_string(repro::kMaxTasks + 1) + "\n"};
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string spec = dir + "/over" + std::to_string(i) + ".txt";
+    std::ofstream(spec) << specs[i];
+    EXPECT_EQ(run_tool(spec + " --out " + out + " --quiet"), 2) << specs[i];
+  }
+  EXPECT_FALSE(std::ifstream(out).good());
   EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }
 
