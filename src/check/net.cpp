@@ -20,48 +20,32 @@ using dist::LeaseEvent;
 }  // namespace
 
 std::optional<std::string> check_hello_before_lease(const std::vector<LeaseEvent>& events) {
-  // Per-worker handshake state.  Only workers spawned with detail
-  // "accept" (socket links) owe a HELLO; pipe workers never emit one
-  // and never need one.
-  std::set<std::size_t> accepted;  // socket links awaiting HELLO
+  std::set<std::size_t> spawned;  // live links, local or remote
   std::set<std::size_t> helloed;
   std::size_t last_seq = 0;
   bool first = true;
   for (const LeaseEvent& event : events) {
+    // Coordinator restart: the log is append-mode across runs.
     if (!first && event.seq <= last_seq) {
-      // Coordinator restart: the log is append-mode across runs.
-      accepted.clear();
+      spawned.clear();
       helloed.clear();
     }
     first = false;
     last_seq = event.seq;
 
     if (event.kind == "spawn") {
-      if (event.detail == "accept") {
-        // A reconnecting client reuses no credentials: HELLO again.
-        accepted.insert(event.worker);
-        helloed.erase(event.worker);
-      }
-      continue;
-    }
-    if (event.kind == "hello") {
-      if (!accepted.contains(event.worker)) {
-        return "hello_before_lease: " + describe(event) +
-               " -- hello from a worker never accepted on a socket";
+      spawned.insert(event.worker);
+      helloed.erase(event.worker);
+    } else if (event.kind == "dead") {
+      spawned.erase(event.worker);
+      helloed.erase(event.worker);
+    } else if (event.kind == "hello") {
+      if (!spawned.contains(event.worker)) {
+        return "hello_before_lease: " + describe(event) + " -- hello from a link never spawned";
       }
       helloed.insert(event.worker);
-      continue;
-    }
-    if (event.kind == "dead") {
-      accepted.erase(event.worker);
-      helloed.erase(event.worker);
-      continue;
-    }
-    if (event.kind == "lease") {
-      if (accepted.contains(event.worker) && !helloed.contains(event.worker)) {
-        return "hello_before_lease: " + describe(event) +
-               " -- lease granted to a socket worker before its HELLO";
-      }
+    } else if (event.kind == "lease" && !helloed.contains(event.worker)) {
+      return "hello_before_lease: " + describe(event) + " -- lease granted before its HELLO";
     }
   }
   return std::nullopt;

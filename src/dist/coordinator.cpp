@@ -1,8 +1,8 @@
 #include "dist/coordinator.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -36,15 +36,15 @@ constexpr std::size_t npos = LeaseEvent::npos;
   return what + ": " + std::strerror(errno);
 }
 
-/// One supervised worker, local or remote.  Local workers are forked
-/// processes behind a PipeTransport (pid > 0); remote workers are
-/// accepted sockets behind a SocketTransport (pid == -1).  The lease
-/// logic never looks past `transport`.
+/// One supervised worker, local or remote, behind a SocketTransport.
+/// Local workers are forked processes on one end of a socketpair
+/// (pid > 0); remote workers are accepted TCP connections (pid == -1).
+/// Both owe a HELLO before anything else.
 struct WorkerLink {
   pid_t pid = -1;
   std::unique_ptr<net::Transport> transport;
   bool alive = false;
-  bool hello = false;  ///< handshake done (always true for pipe workers)
+  bool hello = false;  ///< handshake done
   bool ready = false;
   std::size_t lease = npos;  ///< stripe currently held
   Clock::time_point last_msg;
@@ -67,6 +67,12 @@ struct StripeState {
   Clock::time_point ready_at;               ///< backoff gate for the next lease
   std::size_t holder = npos;
 };
+
+/// Whether the supervision loop probes `worker` with PINGs (see
+/// Run::send_pings).
+[[nodiscard]] bool pingable(const WorkerLink& worker) {
+  return worker.alive && worker.hello && worker.lease == npos;
+}
 
 [[nodiscard]] std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -116,17 +122,25 @@ class Run {
   // ---- setup -------------------------------------------------------
 
   void setup() {
-    // SIGPIPE from a dead worker's stdin must be an EPIPE, not a
-    // coordinator death.
+    // Socket sends already use MSG_NOSIGNAL; this keeps a closed
+    // stderr pipe (`coordinate ... 2>&1 | head`) an EPIPE rather than
+    // a coordinator death mid-sweep.
     ::signal(SIGPIPE, SIG_IGN);
 
-    spec_text_ = read_file(options_.spec_path);
-    grid_text_ = spec_text_;
+    grid_text_ = read_file(options_.spec_path);
     if (!options_.backend.empty()) grid_text_ += "\nbackend " + options_.backend + "\n";
     try {
       grid_ = sweep::parse_grid(grid_text_);
     } catch (const std::exception& e) {
       throw std::runtime_error(std::string("spec: ") + e.what());
+    }
+    // SPEC travels as one frame: a grid text past the frame cap would
+    // be refused by every worker's decoder before its first lease.
+    if (const std::size_t bytes = encode(CoordinatorMsg(SpecMsg{grid_text_})).size();
+        bytes > net::kMaxFramePayload) {
+      throw std::runtime_error("spec: its SPEC message is " + std::to_string(bytes) +
+                               " bytes, above the " + std::to_string(net::kMaxFramePayload) +
+                               "-byte frame cap");
     }
 
     if (options_.workers == 0) throw std::runtime_error("coordinate: workers must be >= 1");
@@ -176,21 +190,21 @@ class Run {
 
     for (std::size_t w = 0; w < options_.workers; ++w) {
       std::vector<std::string> argv = command;
-      argv.insert(argv.end(), {"work", options_.spec_path, "--dir", options_.workdir});
+      argv.insert(argv.end(), {"work", "--dir", options_.workdir});
       argv.insert(argv.end(), {"--threads", std::to_string(options_.worker_threads)});
       argv.insert(argv.end(),
                   {"--heartbeat-ms", std::to_string(options_.heartbeat_interval.count())});
-      if (!options_.backend.empty()) argv.insert(argv.end(), {"--backend", options_.backend});
       for (const ChaosKill& kill : options_.chaos) {
         if (kill.worker != w) continue;
         argv.insert(argv.end(), {"--chaos-after", std::to_string(kill.after_cells)});
         argv.insert(argv.end(), {"--chaos-mode", std::string(chaos_mode_name(kill.mode))});
       }
 
-      int to_child[2];    // coordinator writes -> child stdin
-      int from_child[2];  // child stdout -> coordinator reads
-      if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) {
-        throw std::runtime_error(errno_message("pipe"));
+      // Both ends close on exec, so later workers inherit neither; the
+      // child's dup2 onto stdin clears the flag on its own copy.
+      int link[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, link) != 0) {
+        throw std::runtime_error(errno_message("socketpair"));
       }
 
       std::vector<char*> c_argv;
@@ -201,36 +215,31 @@ class Run {
       const pid_t pid = ::fork();
       if (pid < 0) throw std::runtime_error(errno_message("fork"));
       if (pid == 0) {
-        // Child: wire the pipes to stdin/stdout and exec the worker.
-        // Only async-signal-safe calls between fork and exec.
-        ::dup2(to_child[0], STDIN_FILENO);
-        ::dup2(from_child[1], STDOUT_FILENO);
-        ::close(to_child[0]);
-        ::close(to_child[1]);
-        ::close(from_child[0]);
-        ::close(from_child[1]);
+        // Child: the worker's end of the link becomes its stdin.  Only
+        // async-signal-safe calls between fork and exec.
+        ::dup2(link[1], STDIN_FILENO);
         ::execv(c_argv[0], c_argv.data());
         ::_exit(127);
       }
-      ::close(to_child[0]);
-      ::close(from_child[1]);
-      // The child ends stay blocking; the coordinator's ends close on
-      // exec so later workers don't inherit them (PipeTransport makes
-      // the read end nonblocking so one chatty worker cannot stall the
-      // loop).
-      ::fcntl(to_child[1], F_SETFD, FD_CLOEXEC);
-      ::fcntl(from_child[0], F_SETFD, FD_CLOEXEC);
-
-      WorkerLink worker;
-      worker.pid = pid;
-      worker.transport = std::make_unique<net::PipeTransport>(from_child[0], to_child[1]);
-      worker.alive = true;
-      worker.hello = true;  // pipes are born trusted -- same machine, same user
-      worker.last_msg = Clock::now();
-      worker.last_ping = worker.last_msg;
-      workers_.push_back(std::move(worker));
+      ::close(link[1]);
+      adopt_link(link[0], pid);
       log({.kind = "spawn", .worker = w});
     }
+  }
+
+  /// Start supervising a fresh link; it must HELLO before anything
+  /// else.  The write deadline doubles as the half-open guard on
+  /// sends: a worker that stops draining for a whole lease deadline is
+  /// treated as dead.
+  void adopt_link(int fd, pid_t pid) {
+    WorkerLink worker;
+    worker.pid = pid;
+    worker.transport = std::make_unique<net::SocketTransport>(
+        fd, std::max(options_.lease_deadline, std::chrono::milliseconds(1000)));
+    worker.alive = true;
+    worker.last_msg = Clock::now();
+    worker.last_ping = worker.last_msg;
+    workers_.push_back(std::move(worker));
   }
 
   // ---- supervision loop --------------------------------------------
@@ -279,18 +288,7 @@ class Run {
     for (;;) {
       const int fd = listener_->accept_nonblocking();
       if (fd < 0) return;
-      WorkerLink worker;
-      worker.pid = -1;
-      // The write deadline doubles as the half-open guard on sends: a
-      // remote worker that stops draining for a whole lease deadline
-      // is treated as dead.
-      worker.transport = std::make_unique<net::SocketTransport>(
-          fd, std::max(options_.lease_deadline, std::chrono::milliseconds(1000)));
-      worker.alive = true;
-      worker.hello = false;  // must HELLO before anything else
-      worker.last_msg = Clock::now();
-      worker.last_ping = worker.last_msg;
-      workers_.push_back(std::move(worker));
+      adopt_link(fd, -1);
       log({.kind = "spawn", .worker = workers_.size() - 1, .detail = "accept"});
     }
   }
@@ -333,14 +331,11 @@ class Run {
     lease.attempt = stripe.attempts;
     lease.resume_attempts = stripe.prior_attempts;
     if (!workers_[w].transport->send(encode(CoordinatorMsg(lease)))) {
-      // The link is already broken: the worker is dead but its EOF has
-      // not been read yet.  Let the poll loop reap it; the stripe
-      // stays pending.  (A socket send can also fail by write
-      // deadline -- that link never EOFs, so reap it here.)
-      if (workers_[w].pid < 0) {
-        terminate(workers_[w]);
-        on_worker_death(w, "exit");
-      }
+      // The link is broken (the worker died and its EOF is not read
+      // yet) or wedged past the write deadline (a half-open link never
+      // EOFs): reap it here.  The stripe stays pending.
+      terminate(workers_[w]);
+      on_worker_death(w, "exit");
       return;
     }
     stripe.status = StripeState::Status::leased;
@@ -351,19 +346,22 @@ class Run {
     log({.kind = "lease", .worker = w, .stripe = s, .attempt = lease.attempt});
   }
 
-  /// Keepalive probes, both transports, every heartbeat interval.  On
-  /// pipes these are belt-and-braces; on sockets they are load-bearing
-  /// twice over -- the worker's idle timeout counts on them, and a
-  /// half-open link eventually fails the send (caught here or at the
-  /// next lease grant).
+  /// Keepalive probes to every handshaken worker that holds no lease,
+  /// each heartbeat interval: the worker's idle timeout counts on
+  /// them, and a half-open link eventually fails the send (caught here
+  /// or at the next lease grant).  A leased worker is computing and
+  /// does not read; probes would only pile up in its receive buffer --
+  /// an AF_UNIX socket fills after a few hundred small frames and
+  /// would then stall this loop on the write deadline.  Its heartbeats
+  /// and the lease deadline cover its liveness instead.
   void send_pings() {
     const Clock::time_point now = Clock::now();
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       WorkerLink& worker = workers_[w];
-      if (!worker.alive || !worker.hello) continue;
+      if (!pingable(worker)) continue;
       if (now - worker.last_ping < options_.heartbeat_interval) continue;
       worker.last_ping = now;
-      if (!worker.transport->send(encode(CoordinatorMsg(PingMsg{}))) && worker.pid < 0) {
+      if (!worker.transport->send(encode(CoordinatorMsg(PingMsg{})))) {
         terminate(worker);
         on_worker_death(w, "exit");
       }
@@ -404,7 +402,7 @@ class Run {
     for (const WorkerLink& worker : workers_) {
       if (!worker.alive) continue;
       next = std::min(next, worker.last_msg + options_.lease_deadline);
-      if (worker.hello) next = std::min(next, worker.last_ping + options_.heartbeat_interval);
+      if (pingable(worker)) next = std::min(next, worker.last_ping + options_.heartbeat_interval);
     }
     for (const StripeState& stripe : stripe_states_) {
       // Only future backoff expiries matter: a stripe that is ready NOW
@@ -452,8 +450,8 @@ class Run {
       return;
     }
     if (!worker.hello) {
-      // A socket link must introduce itself before anything else; a
-      // client speaking leases without credentials is dropped.
+      // A link must introduce itself before anything else; a client
+      // speaking leases without credentials is dropped.
       terminate(worker);
       on_worker_death(w, "protocol");
       return;
@@ -481,7 +479,7 @@ class Run {
 
   void handle_hello(std::size_t w, const HelloMsg& hello) {
     WorkerLink& worker = workers_[w];
-    if (worker.hello) {  // double HELLO, or HELLO on a pipe link
+    if (worker.hello) {  // double HELLO
       terminate(worker);
       on_worker_death(w, "protocol");
       return;
@@ -498,7 +496,7 @@ class Run {
     }
     worker.hello = true;
     log({.kind = "hello", .worker = w});
-    // The worker has no filesystem path to the spec: ship it.
+    // The spec reaches every worker this way, local or remote.
     if (!worker.transport->send(encode(CoordinatorMsg(SpecMsg{grid_text_})))) {
       terminate(worker);
       on_worker_death(w, "exit");
@@ -807,7 +805,6 @@ class Run {
 
   const CoordinatorOptions& options_;
   const bool serving_;
-  std::string spec_text_;
   std::string grid_text_;  ///< spec + backend line: what SPEC ships
   sweep::Grid grid_;
   std::size_t stripes_ = 1;

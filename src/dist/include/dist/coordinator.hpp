@@ -14,19 +14,24 @@ namespace dist {
 /// The coordinator of a distributed sweep (`dls_sweep coordinate` /
 /// `dls_sweep serve`).
 ///
-/// Two worker sources behind one supervision loop: classic mode
-/// fork/execs local workers over pipes; serve mode (`listen` set)
-/// opens a TCP listener and adopts remote workers as they connect and
-/// pass the HELLO handshake (version + token).  Either way the
-/// coordinator leases stripes of the grid and supervises:
+/// Two worker sources behind one supervision loop, speaking one framed
+/// dialect (protocol.hpp): classic mode fork/execs local workers, each
+/// on one end of an AF_UNIX socketpair as its stdin; serve mode
+/// (`listen` set) opens a TCP listener and adopts remote workers as
+/// they connect.  Every worker must pass the HELLO handshake (version
+/// + token) and gets the grid as SPEC.  Local and remote workers differ
+/// only where the deployment forces it: the data path (a shared disk
+/// vs FETCH, below), termination (SIGKILL vs hangup) and the failure
+/// horizon (every local worker dead vs `accept_grace` without one).
+/// The coordinator leases stripes of the grid and supervises:
 ///
 ///  - liveness: any worker message resets its deadline clock; a worker
-///    silent past `lease_deadline` is terminated (SIGKILL locally,
-///    hangup remotely) and its lease reclaimed.  The coordinator also
-///    PINGs every live worker each heartbeat interval -- pipes surface
-///    death as EOF, but a half-open TCP link never EOFs, so liveness
-///    must be probed in both directions (workers give up after an idle
-///    timeout; the coordinator reclaims by deadline).
+///    silent past `lease_deadline` is terminated and its lease
+///    reclaimed.  The coordinator also PINGs every worker that holds
+///    no lease each heartbeat interval -- a half-open TCP link never
+///    EOFs, so liveness must be probed in both directions (workers
+///    give up after an idle timeout; the coordinator reclaims by
+///    deadline).
 ///  - reclamation: a reclaimed stripe's partial attempt file is
 ///    reused, not discarded -- the retry lease names it and the new
 ///    worker resumes past every record the dead worker flushed
@@ -42,6 +47,7 @@ namespace dist {
 ///    validity, stripe coverage), and only then committed locally via
 ///    sweep::write_lines_atomic.  The stripe stays leased until the
 ///    verify passes, so a death mid-stream reclaims like any other.
+///    Local workers publish straight into `workdir`.
 ///  - retry: reclaimed stripes go back to the pending pool gated by
 ///    capped exponential backoff (protocol.hpp backoff_delay) and are
 ///    re-leased to surviving workers, up to `max_attempts` per stripe
@@ -52,17 +58,20 @@ namespace dist {
 ///    any reclaimed-stripe record that differs from a first-attempt
 ///    record aborts the run -- so the merged output of a sweep that
 ///    lost k of n workers is bitwise identical to an uninterrupted
-///    serial run, by construction and by check, on either transport.
+///    serial run, by construction and by check, local or remote.
 ///
 /// Every decision is appended to a lease-event log (JSONL of
 /// protocol.hpp LeaseEvents) that check::check_lease_exclusivity (and
 /// the transport invariants in check/net.hpp) can replay.
 struct CoordinatorOptions {
-  std::string spec_path;  ///< grid spec file, passed verbatim to workers
+  /// Grid spec file.  Its text (plus any backend line) reaches every
+  /// worker as SPEC; one whose SPEC frame exceeds net::kMaxFramePayload
+  /// is refused before any worker is spawned or accepted.
+  std::string spec_path;
   std::string out_path;   ///< merged output (written atomically at the end)
   std::string workdir;    ///< stripe/attempt shard files + events log
   std::string events_path;  ///< lease-event log ("" = <workdir>/events.jsonl)
-  std::string backend;      ///< forwarded --backend override ("" = none)
+  std::string backend;      ///< backend line appended to the spec ("" = none)
   std::size_t workers = 2;
   std::size_t stripes = 0;  ///< lease granularity; 0 = min(4 * workers, cells)
   unsigned worker_threads = 0;  ///< forwarded SweepRunner width (0 = spec)
@@ -73,14 +82,14 @@ struct CoordinatorOptions {
   std::chrono::milliseconds backoff_cap{5000};
   std::vector<ChaosKill> chaos;  ///< fault-injection directives, by worker index
   /// Command to exec for each worker, e.g. {"./dls_sweep"}; the
-  /// coordinator appends `work <spec> --dir <workdir> ...`.  Empty =
+  /// coordinator appends `work --dir <workdir> ...`.  Empty =
   /// /proc/self/exe (the coordinator binary itself).
   std::vector<std::string> worker_command;
   /// Observer invoked for every logged lease event (stderr narration).
   std::function<void(const LeaseEvent&)> on_event;
 
   /// Serve mode: "host:port" to listen on (port 0 = kernel-assigned).
-  /// Empty = classic mode (fork local pipe workers).  In serve mode
+  /// Empty = classic mode (fork local workers).  In serve mode
   /// `workers` only sizes the default stripe count; the actual worker
   /// set is whoever connects and HELLOs.
   std::string listen;
@@ -111,7 +120,8 @@ class Coordinator {
 
   /// Run the sweep to completion and write the merged output.  Throws
   /// std::runtime_error (after killing surviving workers) when the run
-  /// cannot complete: spec errors, every worker lost (or, serving, no
+  /// cannot complete: spec errors (including a SPEC frame over the
+  /// cap), every worker lost (or, serving, no
   /// worker for accept_grace), a stripe out of attempts, conflicting
   /// records, or a merged-output write failure.
   CoordinatorReport run();

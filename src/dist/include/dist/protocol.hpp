@@ -13,50 +13,49 @@ namespace dist {
 
 /// The coordinator/worker wire protocol of the fault-tolerant sweep.
 ///
-/// Messages are single newline-terminated ASCII lines over a byte
-/// stream -- pipes between processes today, sockets between hosts
-/// tomorrow (nothing below assumes a shared filesystem except the
-/// shard files themselves, which a socket transport would stream
-/// instead).  Control flows over the stream; record data flows through
-/// durable shard files (sweep::ShardWriter): while a stripe is leased,
-/// its records accumulate in a per-(stripe, attempt) temp file, and
-/// completing the stripe publishes the file atomically.  A worker
-/// death at ANY instant therefore leaves either a complete published
-/// stripe or a temp file whose only damage is one truncated final line
-/// -- exactly what sweep::scan_records reclaims.
+/// One dialect for every worker, local or remote: each message is one
+/// length-delimited frame (net/frame.hpp) on a stream socket -- an
+/// AF_UNIX socketpair to a worker forked by `dls_sweep coordinate`, a
+/// TCP connection to one that dialed `dls_sweep serve`.  Control flows
+/// over the stream; record data flows through durable shard files
+/// (sweep::ShardWriter): while a stripe is leased, its records
+/// accumulate in a per-(stripe, attempt) temp file, and completing the
+/// stripe publishes the file atomically.  A worker death at ANY instant
+/// therefore leaves either a complete published stripe or a temp file
+/// whose only damage is one truncated final line -- exactly what
+/// sweep::scan_records reclaims.
 ///
 /// Coordinator -> worker:
+///   SPEC <spec bytes...>                     (reply to HELLO)
 ///   LEASE <stripe> <stripe_count> <attempt> <resume_attempts|->
 ///   QUIT
 ///   PING                                     (keepalive probe)
-///   SPEC <spec bytes...>                     (socket only)
-///   FETCH <stripe> <attempt>                 (socket only)
+///   FETCH <stripe> <attempt>                 (remote workers)
 /// Worker -> coordinator:
+///   HELLO <version> <token|->                (first message)
 ///   READY
 ///   HB <computed_total>
 ///   DONE <stripe> <attempt> <computed> <skipped>
 ///   FAIL <stripe> <attempt> <message...>
-///   HELLO <version> <token|->                (socket only, first msg)
 ///   DATA <stripe> <attempt> <offset> <total> <checksum> <bytes...>
-///                                            (socket only)
+///                                            (remote workers)
 ///
 /// `resume_attempts` is a comma-separated list of prior attempt
 /// numbers whose temp files the worker must scan and skip past
 /// (`-` = none): the lease carries the reclamation state, so a retry
 /// never recomputes records a dead worker already flushed.
 ///
-/// The socket-only messages close the two gaps a TCP link opens
-/// against local pipes: no shared filesystem (SPEC ships the grid
-/// down; FETCH/DATA stream published stripes back up, verified by
-/// length + FNV-1a checksum before the coordinator commits them) and
-/// no ambient trust (HELLO carries a protocol version and a shared
-/// token; anything else as a link's first message is a protocol
-/// death).  SPEC and DATA carry binary tails -- embedded newlines and
-/// arbitrary record bytes -- which is exactly why sockets use
-/// length-delimited frames (net/frame.hpp) rather than newline
-/// framing.  PING is coordinator->worker keepalive on both transports:
-/// a half-open TCP link never EOFs, so liveness must be probed, not
-/// inferred from the stream state.
+/// HELLO carries a protocol version and a shared token; anything else
+/// as a link's first message is a protocol death.  SPEC ships the grid,
+/// so no worker reads a spec file.  Remote workers share no filesystem
+/// with the coordinator, so FETCH/DATA stream their published stripes
+/// back, verified by length + FNV-1a checksum before the coordinator
+/// commits them; local workers publish into the shared workdir.  SPEC,
+/// FAIL and DATA carry free tails -- embedded newlines and arbitrary
+/// record bytes -- which the framing carries verbatim.  PING is the
+/// coordinator's keepalive to workers that hold no lease: a half-open
+/// TCP link never EOFs, so liveness must be probed, not inferred from
+/// the stream state.
 
 /// Grant of stripe `stripe` of `stripe_count` (the sweep/stripe.hpp
 /// striping -- lease identity IS shard identity) as attempt `attempt`.
@@ -70,7 +69,7 @@ struct LeaseMsg {
 /// Orderly shutdown; the worker exits 0.
 struct QuitMsg {};
 
-/// Wire-format revision of the socket dialect.  Bumped when message
+/// Wire-format revision of the dialect.  Bumped when message
 /// layout changes incompatibly; HELLO carries it so a version-skewed
 /// worker is turned away at the door instead of failing mid-sweep.
 constexpr std::size_t kProtocolVersion = 1;
@@ -81,9 +80,10 @@ constexpr std::size_t kProtocolVersion = 1;
 /// surfaces as a send failure instead of idling forever.
 struct PingMsg {};
 
-/// The sweep spec, shipped to remote workers that share no filesystem
-/// with the coordinator.  The text is the full grid spec (with the
-/// backend line already appended), newlines included.
+/// The sweep spec, the coordinator's reply to a worker's HELLO.  The
+/// text is the full grid spec (with the backend line already
+/// appended), newlines included; its frame is capped at
+/// net::kMaxFramePayload like any other.
 struct SpecMsg {
   std::string text;
 };
@@ -98,7 +98,7 @@ struct FetchMsg {
   std::size_t attempt = 0;
 };
 
-/// First message of a worker: the spec parsed, ready for leases.
+/// The worker parsed the SPEC and is ready for leases.
 struct ReadyMsg {};
 
 /// Liveness beacon, sent every heartbeat interval from a dedicated
@@ -128,7 +128,7 @@ struct FailMsg {
   std::string message;
 };
 
-/// First message on a socket link, before anything else: protocol
+/// First message on every link, before anything else: protocol
 /// version + shared secret ("-" = no token).  The coordinator answers
 /// with SPEC; a wrong token or version gets the link dropped and an
 /// "auth"/"version" death logged.
@@ -157,8 +157,8 @@ using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, DoneMsg, FailMsg, HelloMs
 [[nodiscard]] std::string encode(const CoordinatorMsg& msg);
 [[nodiscard]] std::string encode(const WorkerMsg& msg);
 
-/// Parse one protocol line (without the trailing newline).  Throws
-/// std::invalid_argument naming the malformed line -- a garbled
+/// Parse one protocol message (one frame's payload).  Throws
+/// std::invalid_argument naming the malformed message -- a garbled
 /// control stream is a failed peer, never silently ignored.
 [[nodiscard]] CoordinatorMsg parse_coordinator_msg(std::string_view line);
 [[nodiscard]] WorkerMsg parse_worker_msg(std::string_view line);
@@ -185,7 +185,7 @@ using WorkerMsg = std::variant<ReadyMsg, HeartbeatMsg, DoneMsg, FailMsg, HelloMs
 ///             then SIGKILL -- the death-mid-write case
 ///   hang      stop heartbeating and freeze -- the zombie case, which
 ///             only the coordinator's lease deadline can reclaim
-///   fetchcut  (socket workers) complete the stripe, then die after
+///   fetchcut  (remote workers) complete the stripe, then die after
 ///             streaming only the first DATA chunk of the FETCH reply
 ///             -- the mid-transfer-death case; the coordinator must
 ///             discard the partial stream and retry the stripe
@@ -219,10 +219,10 @@ struct ChaosKill {
 ///
 /// Kinds and their fields:
 ///   spawn    worker [detail]     a worker process started (detail
-///                                "accept" = a socket worker connected)
-///   hello    worker              socket handshake verified (version +
-///                                token); precedes any lease to that
-///                                worker -- see check/net.hpp
+///                                "accept" = a remote worker connected)
+///   hello    worker              handshake verified (version + token);
+///                                precedes any lease to that worker --
+///                                see check/net.hpp
 ///   ready    worker              its READY arrived
 ///   lease    worker stripe attempt          lease granted
 ///   done     worker stripe attempt          DONE verified, stripe complete
@@ -233,13 +233,18 @@ struct ChaosKill {
 ///                                           stripe; the matching done
 ///                                           carries detail "fetched"
 ///   reclaim  worker stripe attempt detail   lease taken back (detail:
-///                                           exit|deadline|fail|invalid)
+///                                           exit|deadline|fail: <the
+///                                           worker's FAIL text>|invalid)
 ///   retry    stripe attempt backoff_ms      retry scheduled
 ///   dead     worker detail                  worker exited/was killed
 ///                                           (detail adds: protocol|
 ///                                           auth|version|hello-timeout)
 ///   giveup   stripe attempt                 retries exhausted
 ///   complete                                 all stripes done, merged
+///
+/// `detail` is JSON-escaped on encode and unescaped on parse: a FAIL
+/// text comes from outside the program and may hold quotes, newlines
+/// or control bytes.
 struct LeaseEvent {
   std::size_t seq = 0;
   std::string kind;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "mw/batch.hpp"
+#include "sweep/record.hpp"
 
 namespace dist {
 namespace {
@@ -133,10 +134,8 @@ std::string encode(const WorkerMsg& msg) {
            checksum_hex(data->checksum) + " " + data->bytes;
   }
   const auto& fail = std::get<FailMsg>(msg);
-  // The message is the tail of the line; newlines would break framing.
-  std::string text = fail.message;
-  std::replace(text.begin(), text.end(), '\n', ' ');
-  return "FAIL " + std::to_string(fail.stripe) + " " + std::to_string(fail.attempt) + " " + text;
+  return "FAIL " + std::to_string(fail.stripe) + " " + std::to_string(fail.attempt) + " " +
+         fail.message;
 }
 
 CoordinatorMsg parse_coordinator_msg(std::string_view line) {
@@ -337,7 +336,7 @@ std::string encode_lease_event(const LeaseEvent& event) {
   if (event.stripe != LeaseEvent::npos) out += ",\"stripe\":" + std::to_string(event.stripe);
   if (event.attempt != LeaseEvent::npos) out += ",\"attempt\":" + std::to_string(event.attempt);
   if (event.backoff_ms >= 0) out += ",\"backoff_ms\":" + std::to_string(event.backoff_ms);
-  if (!event.detail.empty()) out += ",\"detail\":\"" + event.detail + "\"";
+  if (!event.detail.empty()) out += ",\"detail\":\"" + sweep::json_escape(event.detail) + "\"";
   out += "}";
   return out;
 }
@@ -366,10 +365,7 @@ namespace {
   needle += "\":\"";
   const auto pos = line.find(needle);
   if (pos == std::string_view::npos) return std::nullopt;
-  const std::size_t start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string_view::npos) return std::nullopt;
-  return std::string(line.substr(start, end - start));
+  return sweep::json_unescape_at(line, pos + needle.size());
 }
 
 }  // namespace

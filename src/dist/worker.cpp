@@ -117,39 +117,26 @@ class Heartbeat {
 
 }  // namespace
 
-int run_worker_on_transport(const WorkerOptions& options, net::Transport& transport,
-                            bool handshake, bool fetch_on_done) {
-  sweep::Grid grid;
-  std::string spec_text = options.spec_text;
-
-  if (handshake) {
-    if (!transport.send(encode(WorkerMsg{HelloMsg{kProtocolVersion, options.token}}))) {
-      std::cerr << "dls_sweep work: coordinator hung up during handshake\n";
-      return 1;
-    }
-    // The SPEC reply supplies the grid -- connected workers share no
-    // filesystem with the coordinator.
-    std::string line;
-    const auto status = transport.recv(line, options.idle_timeout);
-    if (status != net::Transport::RecvStatus::ok) {
-      std::cerr << "dls_sweep work: no SPEC from coordinator ("
-                << (status == net::Transport::RecvStatus::timeout ? "timeout" : "closed")
-                << ")\n";
-      return 1;
-    }
-    try {
-      const CoordinatorMsg msg = parse_coordinator_msg(line);
-      const auto* spec = std::get_if<SpecMsg>(&msg);
-      if (spec == nullptr) throw std::invalid_argument("expected SPEC, got '" + line + "'");
-      spec_text = spec->text;
-    } catch (const std::exception& e) {
-      std::cerr << "dls_sweep work: " << e.what() << "\n";
-      return 1;
-    }
+int run_worker_on_transport(const WorkerOptions& options, net::Transport& transport) {
+  if (!transport.send(encode(WorkerMsg{HelloMsg{kProtocolVersion, options.token}}))) {
+    std::cerr << "dls_sweep work: coordinator hung up during handshake\n";
+    return 1;
   }
-
+  // The SPEC reply supplies the grid: it is the one way a spec reaches
+  // a worker, local or remote.
+  sweep::Grid grid;
+  std::string line;
+  const auto status = transport.recv(line, options.idle_timeout);
+  if (status != net::Transport::RecvStatus::ok) {
+    std::cerr << "dls_sweep work: no SPEC from coordinator ("
+              << (status == net::Transport::RecvStatus::timeout ? "timeout" : "closed") << ")\n";
+    return 1;
+  }
   try {
-    grid = sweep::parse_grid(spec_text);
+    const CoordinatorMsg msg = parse_coordinator_msg(line);
+    const auto* spec = std::get_if<SpecMsg>(&msg);
+    if (spec == nullptr) throw std::invalid_argument("expected SPEC, got '" + line + "'");
+    grid = sweep::parse_grid(spec->text);
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep work: " << e.what() << "\n";
     return 1;
@@ -277,10 +264,8 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
       writer.commit();
       live_writer = nullptr;
       // Publish-then-report: the rename above is the durable state
-      // change, DONE is only the notification of it.  In fetch mode
-      // the published file stays put -- it is the source the FETCH
-      // reply streams from.
-      (void)fetch_on_done;
+      // change, DONE is only the notification of it.  The published
+      // file stays put -- a FETCH reply streams from it.
       if (!send_msg(transport, DoneMsg{lease.stripe, lease.attempt, computed, skipped})) return 1;
     } catch (const std::exception& e) {
       live_writer = nullptr;
@@ -290,21 +275,14 @@ int run_worker_on_transport(const WorkerOptions& options, net::Transport& transp
 }
 
 int run_worker(const WorkerOptions& options) {
-  if (options.connect.empty()) {
-    net::PipeTransport transport(STDIN_FILENO, STDOUT_FILENO);
-    const int code = run_worker_on_transport(options, transport, /*handshake=*/false,
-                                             /*fetch_on_done=*/false);
-    // Leave stdio open for the process exit path; the transport closed
-    // the fds already, which is fine this late.
-    return code;
-  }
   try {
-    const net::HostPort address = net::parse_host_port(options.connect);
-    const int fd =
-        net::connect_with_retry(address, options.connect_attempts, options.connect_backoff);
+    int fd = STDIN_FILENO;
+    if (!options.connect.empty()) {
+      fd = net::connect_with_retry(net::parse_host_port(options.connect),
+                                   options.connect_attempts, options.connect_backoff);
+    }
     net::SocketTransport transport(fd);
-    return run_worker_on_transport(options, transport, /*handshake=*/true,
-                                   /*fetch_on_done=*/true);
+    return run_worker_on_transport(options, transport);
   } catch (const std::exception& e) {
     std::cerr << "dls_sweep work: " << e.what() << "\n";
     return 1;

@@ -35,6 +35,15 @@ class RunContext {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Throws std::invalid_argument unless `config` describes a runnable
+/// simulation: at least one worker, task and timestep, a workload,
+/// positive host speed, speed factors and link bandwidth, a
+/// non-negative latency and failure times, valid speed profiles, and
+/// per-worker lists of one entry per worker.  run_simulation checks
+/// it first; repro::parse_experiment_spec checks it last, so an
+/// experiment file that could not run is a parse error.
+void validate(const Config& config);
+
 /// Execute one master-worker scheduling simulation (paper Figure 1):
 ///
 ///   * a star platform is built from the Config's system information;

@@ -401,6 +401,8 @@ simx::Actor master_actor(simx::Context& ctx, Shared& sh) {
   }
 }
 
+}  // namespace
+
 void validate(const Config& cfg) {
   if (cfg.workers == 0) throw std::invalid_argument("Config.workers must be >= 1");
   if (cfg.tasks == 0) throw std::invalid_argument("Config.tasks must be >= 1");
@@ -423,9 +425,10 @@ void validate(const Config& cfg) {
   for (double t : cfg.worker_failure_times) {
     if (t < 0.0) throw std::invalid_argument("worker failure times must be >= 0");
   }
+  // The master-worker links simx::Platform::add_route builds.
+  if (!(cfg.bandwidth > 0.0)) throw std::invalid_argument("Config.bandwidth must be > 0");
+  if (!(cfg.latency >= 0.0)) throw std::invalid_argument("Config.latency must be >= 0");
 }
-
-}  // namespace
 
 RunResult run_simulation(const Config& config, RunContext& context,
                          const workload::TaskDraw& step0, workload::RandomSource& rest) {

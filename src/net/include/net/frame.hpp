@@ -8,12 +8,10 @@
 
 namespace net {
 
-/// Length-delimited framing for the socket transport (dls::net).
-///
-/// The dist protocol is newline-terminated ASCII on pipes, but a TCP
-/// stream between hosts also has to carry binary payloads (the SPEC
-/// text with its embedded newlines, the FETCH data chunks), so on
-/// sockets every message rides in a length-delimited frame:
+/// Length-delimited framing for every coordinator/worker link
+/// (dls::net).  Messages carry binary payloads (the SPEC text with its
+/// embedded newlines, the FETCH data chunks), so each one rides in a
+/// frame:
 ///
 ///   '#' <decimal payload length> '\n' <payload bytes>
 ///
@@ -23,8 +21,9 @@ namespace net {
 /// (an oversized length prefix must not become an allocation bomb),
 /// as is any header that is not '#' + digits + '\n'.  A garbled frame
 /// stream is a failed peer -- the decoder latches the error and
-/// refuses further input, exactly like the line protocol's
-/// malformed-message handling.
+/// refuses further input.  The cap also bounds the largest message a
+/// sender may emit: the coordinator refuses a grid whose SPEC frame
+/// would exceed it.
 constexpr std::size_t kMaxFramePayload = 4u * 1024u * 1024u;
 
 /// Longest legal header digit run: kMaxFramePayload has 7 digits; one
@@ -66,21 +65,6 @@ class FrameDecoder {
   std::size_t need_ = 0;
   std::string payload_;
   std::string error_;
-};
-
-/// Incremental newline splitter -- the pipe transport's "framing".
-/// Bytes accumulate until '\n'; complete lines (without the newline)
-/// are appended to `out`.  Unlike FrameDecoder it cannot fail: any
-/// byte sequence is a valid prefix of some line stream.  trailing()
-/// exposes the unterminated tail (an EOF with a nonempty tail is a
-/// peer that died mid-line).
-class LineDecoder {
- public:
-  void feed(std::string_view bytes, std::vector<std::string>& out);
-  [[nodiscard]] const std::string& trailing() const { return buffer_; }
-
- private:
-  std::string buffer_;
 };
 
 /// FNV-1a 64-bit -- the dependency-free checksum the FETCH data path

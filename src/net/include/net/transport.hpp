@@ -12,12 +12,12 @@
 
 namespace net {
 
-/// Transport-agnostic message link between a sweep coordinator and one
-/// worker.  Two implementations: PipeTransport (stdin/stdout pipes to
-/// a forked local worker, newline framing -- PR 6's wire format,
-/// unchanged) and SocketTransport (one TCP fd to a remote worker,
-/// length-delimited frames from net/frame.hpp).  The coordinator and
-/// worker loops only ever see this interface, so lease logic cannot
+/// Message link between a sweep coordinator and one worker.  The one
+/// production implementation is SocketTransport: length-delimited
+/// frames (net/frame.hpp) over a connected stream socket -- TCP to a
+/// remote worker, or one end of an AF_UNIX socketpair to a forked
+/// local worker.  The coordinator and worker loops only ever see this
+/// interface (tests substitute fakes behind it), so lease logic cannot
 /// diverge between local and distributed runs.
 class Transport {
  public:
@@ -40,17 +40,14 @@ class Transport {
   /// decoded before the failure are still appended.
   [[nodiscard]] virtual bool drain(std::vector<std::string>& out) = 0;
 
-  /// Tear the link down now (close fds).  Idempotent.  This is the
-  /// socket-side analogue of SIGKILL: a coordinator that would kill a
-  /// misbehaving local worker instead hangs up on a remote one.
+  /// Tear the link down now (close the fd).  Idempotent.  A
+  /// coordinator hangs up on a misbehaving remote worker this way (a
+  /// local one is also SIGKILLed).
   virtual void shutdown() = 0;
 
-  /// Why drain() returned false: empty for a clean EOF, a framing
-  /// diagnostic for a corrupt stream.
+  /// Why drain() returned false: empty for a clean EOF (or a peer
+  /// reset between frames), a framing diagnostic for a corrupt stream.
   [[nodiscard]] virtual const std::string& error() const = 0;
-
-  /// Human-readable peer label for logs ("pipe", "tcp:fd=7", ...).
-  [[nodiscard]] virtual std::string describe() const = 0;
 
   enum class RecvStatus { ok, timeout, closed };
 
@@ -66,39 +63,8 @@ class Transport {
   bool recv_closed_ = false;
 };
 
-/// The PR 6 wire: newline-terminated ASCII over a pipe pair.  Owns
-/// both fds; the read side is made nonblocking on construction.
-class PipeTransport final : public Transport {
- public:
-  /// `read_fd` carries peer->us bytes, `write_fd` us->peer.
-  PipeTransport(int read_fd, int write_fd);
-  ~PipeTransport() override;
-
-  [[nodiscard]] bool send(std::string_view message) override DLS_EXCLUDES(mutex_);
-  [[nodiscard]] int poll_fd() const override DLS_EXCLUDES(mutex_) {
-    const support::LockGuard lock(mutex_);
-    return read_fd_;
-  }
-  [[nodiscard]] bool drain(std::vector<std::string>& out) override DLS_EXCLUDES(mutex_);
-  void shutdown() override DLS_EXCLUDES(mutex_);
-  [[nodiscard]] const std::string& error() const override { return error_; }
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  /// Guards the fds (send() vs shutdown() cross-thread) and
-  /// serializes whole sends so concurrent messages never interleave
-  /// mid-line.  The decoder state below is NOT under it: drain() and
-  /// error() belong to the single read-side thread by contract.
-  mutable support::Mutex mutex_;
-  int read_fd_ DLS_GUARDED_BY(mutex_);
-  int write_fd_ DLS_GUARDED_BY(mutex_);
-  LineDecoder decoder_;  ///< read-side thread only
-  std::string error_;    ///< read-side thread only
-  bool finished_ = false;  ///< read-side thread only
-};
-
-/// One connected TCP socket carrying length-delimited frames.  Owns
-/// the fd (nonblocking; see net/socket.hpp for how it is minted).
+/// One connected stream socket (TCP or AF_UNIX) carrying
+/// length-delimited frames.  Owns the fd and makes it nonblocking.
 class SocketTransport final : public Transport {
  public:
   explicit SocketTransport(int fd,
@@ -113,11 +79,12 @@ class SocketTransport final : public Transport {
   [[nodiscard]] bool drain(std::vector<std::string>& out) override DLS_EXCLUDES(mutex_);
   void shutdown() override DLS_EXCLUDES(mutex_);
   [[nodiscard]] const std::string& error() const override { return error_; }
-  [[nodiscard]] std::string describe() const override DLS_EXCLUDES(mutex_);
 
  private:
-  /// Same split as PipeTransport: mutex_ guards the fd and serializes
-  /// whole frames; decoder state is read-side-thread-only.
+  /// Guards the fd (send() vs shutdown() cross-thread) and serializes
+  /// whole frames so concurrent sends never interleave.  The decoder
+  /// state below is NOT under it: drain() and error() belong to the
+  /// single read-side thread by contract.
   mutable support::Mutex mutex_;
   int fd_ DLS_GUARDED_BY(mutex_);
   std::chrono::milliseconds write_deadline_;

@@ -12,20 +12,17 @@
 namespace net {
 namespace {
 
-/// Write all of `bytes` to a nonblocking fd, waiting for POLLOUT up to
-/// `deadline` when the kernel buffer is full.  Returns false on peer
-/// loss or deadline expiry -- a remote worker that stops reading for
-/// that long is as dead as one that hung up.  `socket` selects
-/// ::send(MSG_NOSIGNAL) so a hung-up TCP peer yields EPIPE instead of
-/// SIGPIPE regardless of the process's signal disposition (pipes have
-/// no such flag; their callers ignore SIGPIPE process-wide).
-bool write_all(int fd, std::string_view bytes, std::chrono::milliseconds deadline, bool socket) {
+/// Write all of `bytes` to a nonblocking socket, waiting for POLLOUT
+/// up to `deadline` when the kernel buffer is full.  Returns false on
+/// peer loss or deadline expiry -- a worker that stops reading for
+/// that long is as dead as one that hung up.  MSG_NOSIGNAL turns a
+/// hung-up peer into EPIPE instead of SIGPIPE, whatever the process's
+/// signal disposition.
+bool write_all(int fd, std::string_view bytes, std::chrono::milliseconds deadline) {
   const auto give_up_at = std::chrono::steady_clock::now() + deadline;
   std::size_t written = 0;
   while (written < bytes.size()) {
-    const ssize_t n =
-        socket ? ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL)
-               : ::write(fd, bytes.data() + written, bytes.size() - written);
+    const ssize_t n = ::send(fd, bytes.data() + written, bytes.size() - written, MSG_NOSIGNAL);
     if (n > 0) {
       written += static_cast<std::size_t>(n);
       continue;
@@ -75,77 +72,27 @@ Transport::RecvStatus Transport::recv(std::string& out, std::chrono::millisecond
   }
 }
 
-PipeTransport::PipeTransport(int read_fd, int write_fd) : read_fd_(read_fd), write_fd_(write_fd) {
-  if (read_fd_ >= 0) {
-    ::fcntl(read_fd_, F_SETFL, ::fcntl(read_fd_, F_GETFL, 0) | O_NONBLOCK);
-  }
-}
-
-PipeTransport::~PipeTransport() { shutdown(); }
-
-bool PipeTransport::send(std::string_view message) {
-  const support::LockGuard lock(mutex_);
-  if (write_fd_ < 0) return false;
-  std::string wire(message);
-  wire += '\n';
-  return write_all(write_fd_, wire, std::chrono::seconds(10), /*socket=*/false);
-}
-
-bool PipeTransport::drain(std::vector<std::string>& out) {
-  if (finished_) return false;
-  int fd = -1;
-  {
-    // Snapshot the fd; the read loop itself must not hold the lock (a
-    // send() blocked on a full kernel buffer would stall the caller's
-    // whole poll loop).  A shutdown() racing the loop turns the read
-    // into EBADF, which lands in the EOF/error branch below.
-    const support::LockGuard lock(mutex_);
-    fd = read_fd_;
-  }
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n > 0) {
-      decoder_.feed(std::string_view(buffer, static_cast<std::size_t>(n)), out);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    // EOF or hard error: flush any unterminated final line so a
-    // mid-line death still surfaces the bytes (the parser will reject
-    // a truncated message and the caller records a protocol death).
-    finished_ = true;
-    if (!decoder_.trailing().empty()) out.push_back(decoder_.trailing());
-    return false;
-  }
-}
-
-void PipeTransport::shutdown() {
-  const support::LockGuard lock(mutex_);
-  if (read_fd_ >= 0) ::close(read_fd_);
-  if (write_fd_ >= 0) ::close(write_fd_);
-  read_fd_ = -1;
-  write_fd_ = -1;
-}
-
-std::string PipeTransport::describe() const { return "pipe"; }
-
 SocketTransport::SocketTransport(int fd, std::chrono::milliseconds write_deadline)
-    : fd_(fd), write_deadline_(write_deadline) {}
+    : fd_(fd), write_deadline_(write_deadline) {
+  if (fd >= 0) ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+}
 
 SocketTransport::~SocketTransport() { shutdown(); }
 
 bool SocketTransport::send(std::string_view message) {
   const support::LockGuard lock(mutex_);
   if (fd_ < 0) return false;
-  return write_all(fd_, encode_frame(message), write_deadline_, /*socket=*/true);
+  return write_all(fd_, encode_frame(message), write_deadline_);
 }
 
 bool SocketTransport::drain(std::vector<std::string>& out) {
   if (finished_) return false;
   int fd = -1;
   {
-    // Same fd-snapshot discipline as PipeTransport::drain.
+    // Snapshot the fd; the read loop itself must not hold the lock (a
+    // send() blocked on a full kernel buffer would stall the caller's
+    // whole poll loop).  A shutdown() racing the loop turns the read
+    // into EBADF, which lands in the error branch below.
     const support::LockGuard lock(mutex_);
     fd = fd_;
   }
@@ -163,12 +110,16 @@ bool SocketTransport::drain(std::vector<std::string>& out) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     finished_ = true;
-    if (n < 0) {
+    if (n < 0 && errno != ECONNRESET) {
       error_ = "read: " + std::string(std::strerror(errno));
     } else if (decoder_.mid_frame()) {
-      // Clean FIN but a frame was in flight: the peer died mid-send.
+      // The peer closed with a frame in flight: it died mid-send.
       error_ = "eof mid-frame";
     }
+    // Otherwise a FIN, or a reset (a peer that closes with bytes it
+    // never read -- a worker killed mid-lease, say -- resets the link
+    // on TCP and AF_UNIX alike): the peer is gone, the stream was not
+    // garbage.
     return false;
   }
 }
@@ -177,11 +128,6 @@ void SocketTransport::shutdown() {
   const support::LockGuard lock(mutex_);
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-}
-
-std::string SocketTransport::describe() const {
-  const support::LockGuard lock(mutex_);
-  return "tcp:fd=" + std::to_string(fd_);
 }
 
 }  // namespace net

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "exec/backend.hpp"
+#include "mw/simulation.hpp"
 #include "support/table.hpp"
 #include "workload/task_times.hpp"
 
@@ -283,6 +284,13 @@ ExperimentSpec parse_experiment_spec(std::string_view text) {
             simx::SpeedProfile{{0.0}, {cfg.host_speed * factor}};
       }
     }
+  }
+  // The same conditions the run checks, so a file that parses can run
+  // (and serialize back): a value the run would reject fails here.
+  try {
+    mw::validate(cfg);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("experiment: ") + e.what());
   }
   return spec;
 }

@@ -92,7 +92,10 @@ inline constexpr std::size_t kMaxTasks = std::size_t{1} << 28;
 
 /// Parse the format described above.  Unknown keys are an error (a
 /// typo must not silently change an experiment).  Throws
-/// std::invalid_argument naming the offending line (number and text).
+/// std::invalid_argument naming the offending line (number and text),
+/// or, for a combination the run would reject (a speed factor or
+/// bandwidth <= 0, a negative latency or failure time, zero timesteps;
+/// see mw::validate), naming the condition.
 [[nodiscard]] ExperimentSpec parse_experiment_spec(std::string_view text);
 
 /// Render `spec` in the textual format above, such that

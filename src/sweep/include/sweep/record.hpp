@@ -14,6 +14,17 @@
 
 namespace sweep {
 
+/// `text` escaped for the body of a JSON string: quotes, backslashes
+/// and control bytes.  Records and the dist lease-event log share it.
+[[nodiscard]] std::string json_escape(std::string_view text);
+
+/// The unescaped JSON string whose body starts at `line[start]` (just
+/// past its opening quote) -- the inverse of json_escape.  nullopt if
+/// the string is unterminated or holds a malformed \u escape; never
+/// throws.
+[[nodiscard]] std::optional<std::string> json_unescape_at(std::string_view line,
+                                                          std::size_t start);
+
 /// Identity of one record: the scientific cell index plus the resolved
 /// execution backend.  A grid with a `backend` axis emits one record
 /// per (cell, backend); a grid without one resolves every record to its

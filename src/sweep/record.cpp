@@ -11,9 +11,7 @@
 #include "support/table.hpp"
 
 namespace sweep {
-namespace {
 
-/// JSON string escaping (quotes, backslashes, control characters).
 std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 8);
@@ -36,6 +34,47 @@ std::string json_escape(std::string_view text) {
   }
   return out;
 }
+
+std::optional<std::string> json_unescape_at(std::string_view line, std::size_t start) {
+  std::string out;
+  bool escaped = false;
+  for (std::size_t i = start; i < line.size(); ++i) {
+    const char c = line[i];
+    if (!escaped) {
+      if (c == '\\') escaped = true;
+      else if (c == '"') return out;
+      else out += c;
+      continue;
+    }
+    escaped = false;
+    switch (c) {
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        // Only ASCII control escapes are ever emitted; decode the low
+        // byte, and treat anything non-hex as malformed (this function
+        // must return nullopt, never throw).
+        if (i + 4 >= line.size()) return std::nullopt;
+        unsigned value = 0;
+        for (std::size_t d = 1; d <= 4; ++d) {
+          const char h = line[i + d];
+          if (h >= '0' && h <= '9') value = value * 16 + static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') value = value * 16 + static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') value = value * 16 + static_cast<unsigned>(h - 'A' + 10);
+          else return std::nullopt;
+        }
+        out += static_cast<char>(value & 0xff);
+        i += 4;
+        break;
+      }
+      default: out += c;  // '\\', '"', '/'
+    }
+  }
+  return std::nullopt;  // unterminated string
+}
+
+namespace {
 
 /// Shortest round-trip number; non-finite values become quoted strings
 /// so the record stays valid JSON.
@@ -227,42 +266,7 @@ std::optional<std::string> record_experiment(std::string_view line) {
   const std::string needle = "\"experiment\":\"";
   const auto start = line.find(needle);
   if (start == std::string_view::npos) return std::nullopt;
-  std::string out;
-  bool escaped = false;
-  for (std::size_t i = start + needle.size(); i < line.size(); ++i) {
-    const char c = line[i];
-    if (!escaped) {
-      if (c == '\\') escaped = true;
-      else if (c == '"') return out;
-      else out += c;
-      continue;
-    }
-    escaped = false;
-    switch (c) {
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        // Only ASCII control escapes are ever emitted; decode the low
-        // byte, and treat anything non-hex as a malformed record
-        // (this function must return nullopt, never throw).
-        if (i + 4 >= line.size()) return std::nullopt;
-        unsigned value = 0;
-        for (std::size_t d = 1; d <= 4; ++d) {
-          const char h = line[i + d];
-          if (h >= '0' && h <= '9') value = value * 16 + static_cast<unsigned>(h - '0');
-          else if (h >= 'a' && h <= 'f') value = value * 16 + static_cast<unsigned>(h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') value = value * 16 + static_cast<unsigned>(h - 'A' + 10);
-          else return std::nullopt;
-        }
-        out += static_cast<char>(value & 0xff);
-        i += 4;
-        break;
-      }
-      default: out += c;  // '\\', '"', '/'
-    }
-  }
-  return std::nullopt;  // unterminated string
+  return json_unescape_at(line, start + needle.size());
 }
 
 void validate_records_for_grid(const Grid& grid, const std::vector<std::string>& lines) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "check/dist.hpp"
+#include "check/net.hpp"
 #include "dist/protocol.hpp"
 #include "sweep/record.hpp"
 #include "sweep/runner.hpp"
@@ -144,6 +145,46 @@ TEST(LeaseExclusivity, SeqResetMarksACoordinatorRestart) {
       event(2, "lease", 0, 1, 0), event(3, "done", 0, 1, 0), event(4, "complete"),
   };
   EXPECT_EQ(check::check_lease_exclusivity(events), std::nullopt);
+}
+
+TEST(HelloBeforeLease, EverySpawnedWorkerOwesAHelloLocalOrRemote) {
+  // A local spawn (no detail) owes a HELLO exactly like an accepted
+  // remote link: there is no exempt worker.
+  const std::vector<dist::LeaseEvent> clean = {
+      event(0, "spawn", 0), event(1, "hello", 0), event(2, "ready", 0),
+      event(3, "lease", 0, 0, 0), event(4, "done", 0, 0, 0), event(5, "complete"),
+  };
+  EXPECT_EQ(check::check_hello_before_lease(clean), std::nullopt);
+
+  const std::vector<dist::LeaseEvent> unintroduced = {
+      event(0, "spawn", 0), event(1, "ready", 0), event(2, "lease", 0, 0, 0),
+  };
+  const auto violation = check::check_hello_before_lease(unintroduced);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_NE(violation->find("seq 2 lease worker=0"), std::string::npos) << *violation;
+
+  // A respawned or reconnected worker index must HELLO again; a
+  // coordinator restart (seq moving backward) forgets every HELLO.
+  const std::vector<dist::LeaseEvent> stale = {
+      event(0, "spawn", 0), event(1, "hello", 0), event(2, "dead", 0),
+      event(3, "spawn", 0), event(4, "lease", 0, 0, 0),
+  };
+  EXPECT_TRUE(check::check_hello_before_lease(stale).has_value());
+  const std::vector<dist::LeaseEvent> restarted = {
+      event(0, "spawn", 0), event(1, "hello", 0), event(0, "lease", 0, 0, 0),
+  };
+  EXPECT_TRUE(check::check_hello_before_lease(restarted).has_value());
+
+  // A HELLO from a dead link does not reopen it for leases.
+  const std::vector<dist::LeaseEvent> dead_link = {
+      event(0, "spawn", 0), event(1, "hello", 0), event(2, "dead", 0),
+      event(3, "hello", 0), event(4, "lease", 0, 0, 0),
+  };
+  const auto ghost = check::check_hello_before_lease(dead_link);
+  ASSERT_TRUE(ghost.has_value());
+  EXPECT_NE(ghost->find("seq 3 hello worker=0"), std::string::npos) << *ghost;
+  const std::vector<dist::LeaseEvent> never_spawned = {event(0, "hello", 3)};
+  EXPECT_TRUE(check::check_hello_before_lease(never_spawned).has_value());
 }
 
 TEST(AttemptConsistency, PassesIdenticalOverlapsAndCatchesDivergence) {

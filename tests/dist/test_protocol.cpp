@@ -54,13 +54,12 @@ TEST(Protocol, WorkerMessagesRoundTrip) {
   EXPECT_EQ(done.computed, 5u);
   EXPECT_EQ(done.skipped, 3u);
 
-  // FAIL carries a free-text tail; embedded newlines are flattened so
-  // the message stays one line.
+  // FAIL carries a free-text tail, verbatim: a frame holds newlines.
   const dist::FailMsg fail{4, 0, "spec line 3:\nbad key"};
   const std::string encoded = dist::encode(dist::WorkerMsg(fail));
-  EXPECT_EQ(encoded, "FAIL 4 0 spec line 3: bad key");
+  EXPECT_EQ(encoded, "FAIL 4 0 spec line 3:\nbad key");
   EXPECT_EQ(std::get<dist::FailMsg>(dist::parse_worker_msg(encoded)).message,
-            "spec line 3: bad key");
+            "spec line 3:\nbad key");
 }
 
 TEST(Protocol, MalformedLinesThrowNotIgnore) {
@@ -155,6 +154,25 @@ TEST(Protocol, LeaseEventsRoundTripAndTolerateTornTails) {
   ASSERT_TRUE(retry_back.has_value());
   EXPECT_EQ(retry_back->backoff_ms, 250);
   EXPECT_EQ(retry_back->worker, dist::LeaseEvent::npos);  // absent field
+
+  // A detail from outside the program (a worker's FAIL text) is
+  // escaped: one event stays one line, and it reads back verbatim.
+  dist::LeaseEvent hostile;
+  hostile.seq = 14;
+  hostile.kind = "reclaim";
+  hostile.worker = 2;
+  hostile.stripe = 5;
+  hostile.attempt = 1;
+  hostile.detail = "fail: bad \"x\"\nnext \\ \"worker\":9 \x01\x1f\t}";
+  const std::string hostile_line = dist::encode_lease_event(hostile);
+  EXPECT_EQ(hostile_line.find('\n'), std::string::npos) << hostile_line;
+  EXPECT_EQ(hostile_line.find('\x01'), std::string::npos) << hostile_line;
+  const auto hostile_back = dist::parse_lease_event(hostile_line);
+  ASSERT_TRUE(hostile_back.has_value()) << hostile_line;
+  EXPECT_EQ(hostile_back->detail, hostile.detail);
+  EXPECT_EQ(hostile_back->worker, 2u);  // not the 9 inside the detail
+  EXPECT_EQ(hostile_back->stripe, 5u);
+  EXPECT_EQ(hostile_back->attempt, 1u);
 
   // A log tail torn by a coordinator kill is not an event -- nullopt,
   // not a throw (mirrors scan_records' partial-tail tolerance).

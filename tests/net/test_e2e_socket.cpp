@@ -2,7 +2,7 @@
 // DLS_CHECK_BIN): a `dls_sweep serve` coordinator on 127.0.0.1 with
 // four `work --connect` worker processes, seeded two-worker chaos
 // (one SIGKILL mid-compute, one mid-FETCH cut), compared byte-for-
-// byte against both a serial run and a pipe-transport coordinate run,
+// byte against both a serial run and a local-worker coordinate run,
 // with the dls_check records/leases audits shelled out for real.
 
 #include <gtest/gtest.h>
@@ -95,29 +95,33 @@ std::string orchestration(const std::string& dir, const std::string& sweep_bin,
   return script.str();
 }
 
-TEST(E2eSocket, CleanFourWorkerSocketSweepMatchesSerialAndPipe) {
+TEST(E2eSocket, CleanFourWorkerSocketSweepMatchesSerialAndLocal) {
   const TempDir dir;
   std::ofstream(dir.path() + "/grid.sweep") << kSpec;
 
   // Socket run (4 remote workers over TCP)...
   ASSERT_EQ(run_shell(orchestration(dir.path(), DLS_SWEEP_BIN, 4, 0)), 0);
-  // ...pipe run (4 forked local workers)...
+  // ...local run (4 forked workers on socketpairs)...
   ASSERT_EQ(run_shell("cd " + dir.path() + "\n" + DLS_SWEEP_BIN +
-                      " coordinate grid.sweep --out pipe.jsonl --workdir wd_pipe"
+                      " coordinate grid.sweep --out local.jsonl --workdir wd_local"
                       " --workers 4 --threads 1 --quiet"),
             0);
-  // ...and the three-way byte identity: serial == pipe == socket.
+  // ...and the three-way byte identity: serial == local == socket.
   const std::string serial = serial_reference();
   EXPECT_EQ(read_file(dir.path() + "/socket.jsonl"), serial);
-  EXPECT_EQ(read_file(dir.path() + "/pipe.jsonl"), serial);
+  EXPECT_EQ(read_file(dir.path() + "/local.jsonl"), serial);
 
   // Remote stripes all arrived over FETCH: every stripe's done event
-  // carries detail "fetched" in the socket log, none in the pipe log.
+  // carries detail "fetched" in the socket log, none in the local log
+  // (local workers publish into the shared workdir).
   std::size_t fetched = 0;
   for (const auto& event : read_events(dir.path() + "/wd_sock/events.jsonl")) {
     if (event.kind == "done" && event.detail == "fetched") ++fetched;
   }
   EXPECT_GE(fetched, 1u);
+  for (const auto& event : read_events(dir.path() + "/wd_local/events.jsonl")) {
+    EXPECT_NE(event.detail, "fetched");
+  }
 }
 
 TEST(E2eSocket, TwoKilledWorkersOfFourStillMatchSerialByteForByte) {

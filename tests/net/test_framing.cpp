@@ -1,7 +1,7 @@
-// Unit tests of the socket wire's building blocks (net/frame.hpp,
+// Unit tests of the wire's building blocks (net/frame.hpp,
 // net/socket.hpp): length-delimited frame encode/decode including the
-// hand-written malformed-frame corpus, the newline splitter, the
-// FNV-1a checksum, and host:port parsing.
+// hand-written malformed-frame corpus, the FNV-1a checksum, and
+// host:port parsing.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 namespace {
 
 using net::FrameDecoder;
-using net::LineDecoder;
 
 std::vector<std::string> decode_all(FrameDecoder& decoder, std::string_view bytes) {
   std::vector<std::string> out;
@@ -129,19 +128,6 @@ TEST(Frame, MaxPayloadExactlyAtTheCapIsAccepted) {
   const auto out = decode_all(decoder, net::encode_frame(big));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].size(), net::kMaxFramePayload);
-}
-
-TEST(Line, SplitsOnNewlinesAndExposesTheTail) {
-  LineDecoder decoder;
-  std::vector<std::string> out;
-  decoder.feed("READY\nHB ", out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], "READY");
-  EXPECT_EQ(decoder.trailing(), "HB ");
-  decoder.feed("7\nDONE", out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[1], "HB 7");
-  EXPECT_EQ(decoder.trailing(), "DONE");  // a peer death here = torn line
 }
 
 TEST(Fnv, KnownVectors) {

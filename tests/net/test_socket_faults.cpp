@@ -3,7 +3,8 @@
 // connection reset mid-LEASE, truncation mid-FETCH, a client that
 // connects but never HELLOs, auth/version failures, garbage frames, a
 // checksum liar, a stale worker reconnecting after its lease was
-// reclaimed, and a half-open link that stays connected but silent.
+// reclaimed, a half-open link that stays connected but silent, and a
+// FAIL text built to break the event log.
 // In every case the coordinator must log the right death, reclaim the
 // lease, finish the sweep through an honest worker, and produce
 // byte-identical output; the lease/net invariants of check/dist.hpp
@@ -410,7 +411,7 @@ TEST(SocketFaults, HalfOpenLinkIsReclaimedByDeadlineWithoutAnEof) {
   // The coordinator-side half of the half-open-TCP fix: a client that
   // stays connected (no FIN, no RST -- drain would never report
   // closure) but stops sending after taking a lease must be reclaimed
-  // by the lease deadline, exactly like a hung pipe worker.
+  // by the lease deadline, exactly like a hung local worker.
   const TempDir dir;
   ServeFixture serve(dir, /*lease_deadline=*/400ms);
   const std::uint16_t port = serve.port();
@@ -427,6 +428,75 @@ TEST(SocketFaults, HalfOpenLinkIsReclaimedByDeadlineWithoutAnEof) {
   serve.expect_clean_finish();
   zombie.hangup();
   EXPECT_GE(serve.report().reclaims, 1u);
+}
+
+TEST(SocketFaults, HostileFailTextStaysOneEventsLineThatAuditsClean) {
+  // A FAIL text comes from outside the program and lands in the
+  // reclaim event's detail.  Quotes, backslashes, a newline, a control
+  // byte and a forged event must come out as one escaped line that
+  // reads back verbatim and that `dls_check leases` accepts.
+  const TempDir dir;
+  ServeFixture serve(dir);
+  const std::uint16_t port = serve.port();
+
+  FaultClient hostile(port);
+  hostile.hello();
+  hostile.ready();
+  const auto lease = hostile.wait_for("LEASE ");
+  ASSERT_TRUE(lease.has_value());
+  const auto& grant = std::get<dist::LeaseMsg>(*lease);
+  const std::string text = "bad \"x\"\nnext \\ {\"seq\":0,\"event\":\"lease\"}\x01";
+  hostile.send(dist::FailMsg{grant.stripe, grant.attempt, text});
+  ASSERT_TRUE(serve.wait_for_event([&text](const dist::LeaseEvent& e) {
+    return e.kind == "reclaim" && e.detail == "fail: " + text;
+  }));
+  hostile.hangup();
+
+  HonestWorker worker(dir, port, "honest");
+  serve.expect_clean_finish();
+
+  const std::string log_path = dir.path() + "/wd/events.jsonl";
+  std::ifstream log(log_path);
+  std::vector<dist::LeaseEvent> logged;
+  std::string line;
+  while (std::getline(log, line)) {
+    const auto event = dist::parse_lease_event(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    logged.push_back(*event);
+  }
+  const std::vector<dist::LeaseEvent> observed = serve.events();
+  ASSERT_EQ(logged.size(), observed.size());  // one line per event
+  for (std::size_t i = 0; i < logged.size(); ++i) {
+    EXPECT_EQ(logged[i].kind, observed[i].kind);
+    EXPECT_EQ(logged[i].detail, observed[i].detail);
+  }
+  const std::string audit = std::string(DLS_CHECK_BIN) + " leases " + log_path + " >/dev/null";
+  EXPECT_EQ(std::system(audit.c_str()), 0);
+}
+
+TEST(SocketFaults, NoPingReachesAWorkerWhileItHoldsALease) {
+  // A leased worker is computing and does not read, so probes to it
+  // would only pile up in its receive buffer (an AF_UNIX socket fills
+  // after a few hundred small frames).  The coordinator pings links
+  // that hold no lease only.
+  const TempDir dir;
+  ServeFixture serve(dir);  // pings every 50ms
+  const std::uint16_t port = serve.port();
+
+  FaultClient busy(port);
+  busy.hello();
+  EXPECT_TRUE(busy.wait_for("PING", 2s).has_value());  // idle: probed
+  busy.ready();
+  ASSERT_TRUE(busy.wait_for("LEASE ").has_value());
+  for (int i = 0; i < 8; ++i) {  // eight heartbeat intervals, holding the lease
+    busy.send(dist::HeartbeatMsg{0});
+    std::this_thread::sleep_for(50ms);
+  }
+  EXPECT_FALSE(busy.wait_for("PING", 50ms).has_value());
+  busy.hangup();
+
+  HonestWorker worker(dir, port, "honest");
+  serve.expect_clean_finish();
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Transport-layer tests: SocketTransport over a socketpair,
-// PipeTransport over a pipe pair, the clean-EOF vs garbled-stream
-// distinction drain() reports, connector retry exhaustion, and the
-// worker-side idle-timeout regression (a half-open TCP link never
-// EOFs -- the worker must give up on its own clock, not wait for a
-// hangup that never comes).
+// Transport-layer tests: SocketTransport over a socketpair, the
+// clean-EOF (or peer reset) vs garbled-stream distinction drain()
+// reports, connector retry exhaustion, and the worker-side
+// idle-timeout regression (a half-open TCP link never EOFs -- the
+// worker must give up on its own clock, not wait for a hangup that
+// never comes).
 
 #include <gtest/gtest.h>
 
@@ -119,39 +119,37 @@ TEST(SocketTransport, SendFailsOnceThePeerIsGone) {
   EXPECT_TRUE(failed);
 }
 
-TEST(PipeTransport, LinesRoundTripAndEofIsClean) {
-  int down[2];  // test -> transport
-  ASSERT_EQ(::pipe(down), 0);
-  net::PipeTransport transport(down[0], ::dup(down[0]) /* unused write side */);
-  ASSERT_EQ(::write(down[1], "READY\nHB 3\n", 11), 11);
-  ::close(down[1]);
+TEST(SocketTransport, PeerResetBetweenFramesIsAnEofNotAnError) {
+  // A peer that closes with bytes it never read resets the link
+  // (ECONNRESET on the next read, TCP and AF_UNIX alike) -- a worker
+  // killed mid-lease with a message queued to it.  That is a death,
+  // not a garbled stream: drain() reports closure with error() empty.
+  const auto [a, b] = socket_pair();
+  net::SocketTransport right(b);
+  ASSERT_TRUE(right.send("PING"));  // lands unread in a's receive queue
+  ::close(a);
 
-  std::string message;
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "READY");
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "HB 3");
-  EXPECT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::closed);
-  EXPECT_TRUE(transport.error().empty());
+  std::vector<std::string> out;
+  bool open = true;
+  for (int i = 0; i < 100 && open; ++i) {
+    open = right.drain(out);
+    if (open) std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_FALSE(open);
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(right.error().empty()) << right.error();
 }
 
-TEST(PipeTransport, DeathMidLineSurfacesTheTornTailAsAMessage) {
-  // A pipe peer that dies mid-line leaves an unterminated tail.  The
-  // transport surfaces those bytes as a final (truncated) message --
-  // the protocol parser then rejects it and the caller records a
-  // protocol death -- rather than silently swallowing them.
-  int down[2];
-  ASSERT_EQ(::pipe(down), 0);
-  net::PipeTransport transport(down[0], ::dup(down[0]));
-  ASSERT_EQ(::write(down[1], "DONE 0 0 4 0\nHB", 15), 15);
-  ::close(down[1]);  // peer died mid-line
+TEST(SocketTransport, PeerResetMidFrameIsStillAnError) {
+  const auto [a, b] = socket_pair();
+  net::SocketTransport right(b);
+  ASSERT_TRUE(right.send("PING"));  // unread by a: its close resets
+  ASSERT_EQ(::write(a, "#100\npartial", 12), 12);
+  ::close(a);
 
   std::string message;
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "DONE 0 0 4 0");
-  ASSERT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::ok);
-  EXPECT_EQ(message, "HB");  // the torn tail, for the parser to reject
-  EXPECT_EQ(transport.recv(message, 1000ms), net::Transport::RecvStatus::closed);
+  EXPECT_EQ(right.recv(message, 1000ms), net::Transport::RecvStatus::closed);
+  EXPECT_EQ(right.error(), "eof mid-frame");
 }
 
 TEST(Connector, RetryExhaustionThrowsNamingTheAddress) {
@@ -190,11 +188,15 @@ TEST(Connector, ReachesAListenerThatComesUpLate) {
   dialer.join();
 }
 
-// The half-open-TCP regression: a Transport that stays open but never
-// delivers anything (packets dropped; no FIN, no RST).  Before the
-// idle-timeout path, the worker's recv loop would block forever on a
-// link like this; now it must give up after options.idle_timeout and
-// exit 1 so the host's slot can be re-fired.
+constexpr const char* kSpecMessage =
+    "SPEC workload exponential:1.0\ntasks 8\nh 0.5\nseed 1\nreplicas 1\nworkers 4\n";
+
+// The half-open-TCP regression: a Transport that delivers the SPEC
+// reply, then stays open but never delivers anything else (packets
+// dropped; no FIN, no RST).  Without the idle timeout the worker's
+// lease loop would block forever on a link like this; it must give up
+// after options.idle_timeout and exit 1 so the host's slot can be
+// re-fired.
 class BlackholeTransport final : public net::Transport {
  public:
   BlackholeTransport() {
@@ -202,6 +204,7 @@ class BlackholeTransport final : public net::Transport {
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
     fd_ = fds[0];
     hold_open_ = fds[1];  // never written, never closed while we live
+    pending_.push_back(kSpecMessage);  // the one message recv() yields
   }
   ~BlackholeTransport() override {
     ::close(fd_);
@@ -213,7 +216,6 @@ class BlackholeTransport final : public net::Transport {
   bool drain(std::vector<std::string>&) override { return true; }
   void shutdown() override {}
   const std::string& error() const override { return error_; }
-  std::string describe() const override { return "blackhole"; }
 
  private:
   int fd_ = -1;
@@ -224,14 +226,14 @@ class BlackholeTransport final : public net::Transport {
 TEST(WorkerIdleTimeout, SilentLinkMakesTheWorkerGiveUpAndExitOne) {
   BlackholeTransport transport;
   dist::WorkerOptions options;
-  options.spec_text = "workload exponential:1.0\ntasks 8\nh 0.5\nseed 1\nreplicas 1\nworkers 4\n";
   options.workdir = "/tmp";
   options.heartbeat_interval = 20ms;
   options.idle_timeout = 150ms;
 
+  // The SPEC is already queued, so the wait for it returns at once:
+  // the idle window measured here is the lease loop's.
   const auto start = std::chrono::steady_clock::now();
-  const int rc = dist::run_worker_on_transport(options, transport, /*handshake=*/false,
-                                               /*fetch_on_done=*/false);
+  const int rc = dist::run_worker_on_transport(options, transport);
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   EXPECT_EQ(rc, 1);              // gave up; the slot is re-firable
@@ -248,20 +250,22 @@ TEST(WorkerIdleTimeout, TrafficKeepsTheWorkerAlivePastTheWindow) {
   net::SocketTransport worker_side(b);
 
   dist::WorkerOptions options;
-  options.spec_text = "workload exponential:1.0\ntasks 8\nh 0.5\nseed 1\nreplicas 1\nworkers 4\n";
   options.workdir = "/tmp";
   options.heartbeat_interval = 20ms;
   options.idle_timeout = 200ms;
 
   std::thread pinger([&coordinator_side] {
+    std::string hello;
+    ASSERT_EQ(coordinator_side.recv(hello, 1000ms), net::Transport::RecvStatus::ok);
+    ASSERT_EQ(hello.rfind("HELLO ", 0), 0u) << hello;
+    ASSERT_TRUE(coordinator_side.send(kSpecMessage));
     for (int i = 0; i < 12; ++i) {
       ASSERT_TRUE(coordinator_side.send("PING"));
       std::this_thread::sleep_for(50ms);
     }
     ASSERT_TRUE(coordinator_side.send("QUIT"));
   });
-  const int rc = dist::run_worker_on_transport(options, worker_side, /*handshake=*/false,
-                                               /*fetch_on_done=*/false);
+  const int rc = dist::run_worker_on_transport(options, worker_side);
   pinger.join();
   EXPECT_EQ(rc, 0);
 }

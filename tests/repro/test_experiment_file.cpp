@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mw/simulation.hpp"
@@ -198,6 +199,46 @@ TEST(ExperimentFile, CountKeysParseExactlyAndRejectOutOfRangeValues) {
   EXPECT_EQ(repro::parse_experiment_spec(std::string(kBase) + "seed 18446744073709551615\n")
                 .config.seed,
             18446744073709551615ULL);
+}
+
+TEST(ExperimentFile, ValuesTheRunRejectsAreParseErrors) {
+  // Each of these would fail only when its cell runs -- a coordinated
+  // sweep would lease it to every worker and use up every attempt --
+  // so it must fail the parse, and a grid's declaration-time check.  A
+  // negative speed must also never reach serialize, where a profile
+  // line would expand it into an unparseable `profile<i> 0:<negative>`.
+  const std::string base = "technique SS\nworkload constant:1\ntasks 16\nworkers 2\n";
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"speeds 1,-11", "speed factors must be > 0"},
+      {"speeds 1,-11\nprofile0 0:1e9", "speed factors must be > 0"},
+      {"failures 1,-3", "failure times must be >= 0"},
+      {"latency -1", "latency must be >= 0"},
+      {"latency nan", "latency must be >= 0"},
+      {"bandwidth 0", "bandwidth must be > 0"},
+      {"bandwidth -1e9", "bandwidth must be > 0"},
+      {"timesteps 0", "timesteps must be >= 1"},
+  };
+  for (const auto& [lines, condition] : rejected) {
+    try {
+      (void)repro::parse_experiment_spec(base + lines + "\n");
+      ADD_FAILURE() << lines << ": parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(condition), std::string::npos) << e.what();
+    }
+    // The grid declaration checks axis values through the same parse.
+    const std::string key = lines.substr(0, lines.find(' '));
+    const std::string value = lines.substr(lines.find(' ') + 1, lines.find('\n') - key.size() - 1);
+    EXPECT_THROW((void)sweep::parse_grid(base + "sweep " + key + " " + value + "\n"),
+                 std::invalid_argument)
+        << lines;
+  }
+  // The boundaries themselves are runnable values.
+  const repro::ExperimentSpec edge = repro::parse_experiment_spec(
+      base + "latency 0\nbandwidth inf\nfailures 0,inf\nspeeds 1e-300,1\n");
+  EXPECT_EQ(edge.config.latency, 0.0);
+  EXPECT_EQ(repro::serialize_experiment_spec(
+                repro::parse_experiment_spec(repro::serialize_experiment_spec(edge))),
+            repro::serialize_experiment_spec(edge));
 }
 
 TEST(ExperimentFile, WorkerAndTaskCountsAboveTheirCapsAreLineNumberedErrors) {

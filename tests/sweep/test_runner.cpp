@@ -265,6 +265,27 @@ TEST(SweepTool, CountsJustAboveTheirCapsAreParseErrors) {
   EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
 }
 
+TEST(SweepTool, ValuesTheRunRejectsAreParseErrors) {
+  // Exit 2 at parse time, for a plain file and a sweep axis alike --
+  // not exit 1 once a cell runs.
+  std::string tmpl = "/tmp/dls_sweep_tool_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  const std::string out = dir + "/out.jsonl";
+  const std::string base = "technique SS\nworkload constant:1\ntasks 16\nworkers 2\n";
+  std::size_t i = 0;
+  for (const std::string line : {"speeds 1,-11", "failures 1,-3", "latency -1", "bandwidth 0",
+                                 "timesteps 0"}) {
+    for (const std::string& spec_text : {base + line + "\n", base + "sweep " + line + "\n"}) {
+      const std::string spec = dir + "/bad" + std::to_string(i++) + ".txt";
+      std::ofstream(spec) << spec_text;
+      EXPECT_EQ(run_tool(spec + " --out " + out + " --quiet"), 2) << spec_text;
+    }
+  }
+  EXPECT_FALSE(std::ifstream(out).good());
+  EXPECT_EQ(std::system(("rm -rf " + dir).c_str()), 0);
+}
+
 TEST(SweepTool, MalformedShardAndCountFlagsAreUsageErrors) {
   // "1x/4" is a typo, not shard 1/4; a negative count must not wrap to
   // a huge unsigned one.  Both exit 2 before any cell runs.

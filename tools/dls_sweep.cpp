@@ -13,10 +13,11 @@
 //   dls_sweep grid.sweep --list                          # show the cells, don't run
 //   dls_sweep grid.sweep --out r.jsonl --backend hagerup  # fixed execution backend
 //   dls_sweep coordinate grid.sweep --out all.jsonl --workdir wd --workers 4
-//   dls_sweep work grid.sweep --dir wd        # one worker (normally exec'd by coordinate)
+//   dls_sweep serve grid.sweep --listen 0.0.0.0:7000 --out all.jsonl --workdir wd
+//   dls_sweep work --connect host:7000 --dir scratch   # one remote worker
 //
-// `coordinate` runs the grid fault-tolerantly across worker processes
-// (dist/coordinator.hpp): stripes of the grid are leased to workers,
+// `coordinate` runs the grid fault-tolerantly across local worker
+// processes (`serve` across remote ones; dist/coordinator.hpp): stripes of the grid are leased to workers,
 // dead or hung workers are detected by heartbeat deadline and their
 // leases reclaimed (resuming past every record the dead worker
 // flushed), retries back off exponentially, and the merged output is
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
@@ -75,7 +77,6 @@ void print_usage(std::ostream& out, const support::Flags& flags) {
          "       dls_sweep merge --out <file> <shard>...    merge shard outputs\n"
          "       dls_sweep coordinate <spec-file> --out <file> --workdir <dir> [options]\n"
          "       dls_sweep serve <spec-file> --listen host:port --out <file> --workdir <dir>\n"
-         "       dls_sweep work <spec-file> --dir <dir>     one worker process (stdio)\n"
          "       dls_sweep work --connect host:port --dir <dir>   one remote worker (TCP)\n"
          "\n"
          "Expands 'sweep <key> <v1> <v2> ...' lines of an experiment file into\n"
@@ -332,8 +333,8 @@ int merge_mode(const support::Flags& flags) {
 
 // `dls_sweep coordinate` / `dls_sweep serve`: the fault-tolerant
 // multi-worker front ends (dist/coordinator.hpp).  One flag set --
-// coordinate forks local pipe workers, serve listens for remote
-// socket workers (`dls_sweep work --connect`).
+// coordinate forks local workers, serve listens for remote workers
+// (`dls_sweep work --connect`).
 int coordinate_mode(int argc, char** argv, bool serve) {
   support::Flags flags;
   flags.define("out", "", "merged output file (required; written atomically at the end)");
@@ -361,7 +362,7 @@ int coordinate_mode(int argc, char** argv, bool serve) {
   flags.define("chaos-seed", "0", "derive --chaos-kills directives from this seed");
   flags.define("chaos-kills", "0", "number of seeded workers to fault (with --chaos-seed)");
   flags.define("events", "", "lease-event log path (default <workdir>/events.jsonl)");
-  flags.define("backend", "", "fixed execution backend forwarded to the workers");
+  flags.define("backend", "", "fixed execution backend (appended to the spec the workers get)");
   flags.define("quiet", "false", "suppress lease-event narration on stderr");
 
   const std::string mode = serve ? "serve" : "coordinate";
@@ -480,20 +481,20 @@ int coordinate_mode(int argc, char** argv, bool serve) {
   return EXIT_SUCCESS;
 }
 
-// `dls_sweep work`: one worker serving the lease protocol -- on
-// stdin/stdout (normally exec'd by `coordinate`) or over TCP against
-// a `serve` coordinator (`--connect host:port`; the spec ships over
-// the wire and --dir is the worker's own local scratch).
+// `dls_sweep work`: one worker serving the lease protocol -- on the
+// socket a `coordinate` run hands it as stdin, or over TCP against a
+// `serve` coordinator (`--connect host:port`; --dir is then the
+// worker's own local scratch).  Either way the spec arrives as SPEC.
 int work_mode(int argc, char** argv) {
   support::Flags flags;
-  flags.define("dir", "", "shard-file directory (shared with a pipe coordinator; local "
-                          "scratch with --connect) (required)");
+  flags.define("dir", "", "shard-file directory (the coordinator's workdir; local scratch "
+                          "with --connect) (required)");
   flags.define("threads", "1", "SweepRunner width per lease (0 = spec / hardware)");
   flags.define("heartbeat-ms", "200", "heartbeat interval");
-  flags.define("backend", "", "fixed execution backend (appended to the spec; pipe mode only)");
   flags.define("chaos-after", "0", "fault injection: misbehave after N computed cells (0 = off)");
   flags.define("chaos-mode", "kill", "fault mode: kill | truncate | hang | fetchcut");
-  flags.define("connect", "", "host:port of a `dls_sweep serve` coordinator (empty = stdio)");
+  flags.define("connect", "",
+               "host:port of a `dls_sweep serve` coordinator (empty = the socket on stdin)");
   flags.define("token", "", "HELLO auth token (must match the coordinator's --token)");
   flags.define("idle-ms", "10000", "exit when the coordinator sends nothing for this long");
   flags.define("connect-attempts", "40", "connection attempts before giving up");
@@ -502,22 +503,17 @@ int work_mode(int argc, char** argv) {
   dist::WorkerOptions options;
   try {
     flags.parse(argc, argv);
+    // The spec arrives over the wire (SPEC after HELLO): a spec file
+    // here would be ignored, so treat one as a usage error.
+    if (flags.positional().size() != 1) {
+      throw std::invalid_argument("work takes no spec file (it arrives from the coordinator)");
+    }
     options.connect = flags.get("connect");
-    if (options.connect.empty()) {
-      if (flags.positional().size() != 2) {
-        throw std::invalid_argument("work needs exactly one spec file");
-      }
-      options.spec_text = read_input(flags.positional()[1]);
-      if (const std::string backend = flags.get("backend"); !backend.empty()) {
-        options.spec_text += "\nbackend " + backend + "\n";
-      }
-    } else {
-      // The spec arrives over the wire (SPEC after HELLO): a spec file
-      // here would be ignored, so treat one as a usage error.
-      if (flags.positional().size() != 1) {
-        throw std::invalid_argument("work --connect takes no spec file (it ships over the wire)");
-      }
+    if (!options.connect.empty()) {
       (void)net::parse_host_port(options.connect);  // fail early on a bad address
+    } else if (struct stat in {}; ::fstat(STDIN_FILENO, &in) != 0 || !S_ISSOCK(in.st_mode)) {
+      throw std::invalid_argument("work without --connect serves the socket a `coordinate` "
+                                  "run passes as stdin, and stdin is not a socket");
     }
     options.workdir = flags.get("dir");
     if (options.workdir.empty()) throw std::invalid_argument("work needs --dir");
